@@ -18,9 +18,8 @@ import (
 // drops, so recovery always lands on the state before or after a
 // publish, never between.
 
-// SyncPolicy controls when journal (and log) appends are fsynced — the
-// point at which an acknowledged publish is guaranteed to survive a
-// crash.
+// SyncPolicy controls when journal appends are fsynced — the point at
+// which an acknowledged publish is guaranteed to survive a crash.
 type SyncPolicy int
 
 const (
@@ -283,45 +282,38 @@ func ReplayJournal(path string, apply func(DeltaRecord) error) (int, error) {
 	}
 	defer f.Close()
 
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	lineNo, applied := 0, 0
-	var pendingErr error
-	for sc.Scan() {
-		lineNo++
-		if pendingErr != nil {
-			// A bad line followed by more lines means mid-file corruption.
-			return 0, pendingErr
-		}
-		rec, err := decodeLine(sc.Text())
+	applied := 0
+	err = scanRecords(f, "journal", true, func(_ int, _ string, rec logRecord) error {
+		d, err := deltaOf(rec)
 		if err != nil {
-			// Only fatal if another line follows (torn-tail tolerance).
-			pendingErr = fmt.Errorf("catalog: journal line %d: %w", lineNo, err)
-			continue
+			return err
 		}
-		if rec.Op != "delta" {
-			return 0, fmt.Errorf("catalog: journal line %d: unexpected op %q", lineNo, rec.Op)
-		}
-		for _, feat := range rec.Changed {
-			if feat == nil {
-				return 0, fmt.Errorf("catalog: journal line %d: null feature", lineNo)
-			}
-			if err := feat.Validate(); err != nil {
-				return 0, fmt.Errorf("catalog: journal line %d: %w", lineNo, err)
-			}
-		}
-		if err := apply(DeltaRecord{
-			Gen:     rec.Gen,
-			Changed: rec.Changed,
-			Removed: rec.Removed,
-			Sidecar: rec.Sidecar,
-		}); err != nil {
-			return 0, fmt.Errorf("catalog: journal line %d: %w", lineNo, err)
+		if err := apply(d); err != nil {
+			return err
 		}
 		applied++
-	}
-	if err := sc.Err(); err != nil {
-		return 0, fmt.Errorf("catalog: read journal: %w", err)
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	return applied, nil
+}
+
+// deltaOf checks that a decoded record is a publish delta whose
+// features all validate, and returns it as a DeltaRecord — the
+// per-record checks shared by journal replay and tailed frames.
+func deltaOf(rec logRecord) (DeltaRecord, error) {
+	if rec.Op != "delta" {
+		return DeltaRecord{}, fmt.Errorf("unexpected op %q", rec.Op)
+	}
+	for _, feat := range rec.Changed {
+		if feat == nil {
+			return DeltaRecord{}, fmt.Errorf("null feature")
+		}
+		if err := feat.Validate(); err != nil {
+			return DeltaRecord{}, err
+		}
+	}
+	return DeltaRecord{Gen: rec.Gen, Changed: rec.Changed, Removed: rec.Removed, Sidecar: rec.Sidecar}, nil
 }

@@ -3,6 +3,7 @@ package catalog
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -11,27 +12,32 @@ import (
 	"strings"
 )
 
-// The catalog persists as an append-only log of checksummed JSON records,
-// one per line:
+// The catalog has one on-disk record codec: checksummed JSON records,
+// one per line,
 //
 //	<crc32-hex8> <json-payload>\n
 //
-// where the payload is {"op":"put","feature":{...}},
-// {"op":"delete","id":"..."}, or — in journal and checkpoint files (see
-// journal.go and store.go) — {"op":"delta",...} / {"op":"meta",...}.
-// Replay applies records in order; a torn final line (crash during
-// append) is tolerated and ignored, while corruption anywhere earlier
-// fails loudly. Compact rewrites the log as a snapshot of put records
-// and atomically renames it into place.
+// written by encodeRecord and read by scanRecords. Two file kinds use
+// it:
+//
+//   - a checkpoint: an optional {"op":"meta",...} first record stamping
+//     the generation and the knowledge-epoch sidecar, then one
+//     {"op":"put","feature":{...}} record per feature in ID order. A
+//     snapshot written by Save is a headerless checkpoint (generation 0,
+//     no sidecar, so no meta record). Checkpoints are written to a
+//     temporary file and renamed into place, so any damage — a torn
+//     final line included — is an error on load.
+//   - a publish journal (journal.go): {"op":"delta",...} records
+//     appended by publishes. A torn final line (crash mid-append) is
+//     dropped on replay, while corruption anywhere earlier fails loudly.
 
-// logRecord is the payload of one log line. Put/delete records carry
-// Feature/ID; delta records (the publish journal) carry a generation
-// stamp plus the published delta and the knowledge-epoch sidecar; meta
+// logRecord is the payload of one record line. Put records carry a
+// Feature; delta records (the publish journal) carry a generation stamp
+// plus the published delta and the knowledge-epoch sidecar; meta
 // records (checkpoint headers) carry the generation stamp and sidecar
 // alone.
 type logRecord struct {
 	Op      string   `json:"op"`
-	ID      string   `json:"id,omitempty"`
 	Feature *Feature `json:"feature,omitempty"`
 	// Gen stamps delta and meta records with the publish generation the
 	// record produced (delta) or covers (meta).
@@ -46,7 +52,7 @@ type logRecord struct {
 	Sidecar json.RawMessage `json:"sidecar,omitempty"`
 }
 
-// encodeRecord renders a record as one checksummed log line.
+// encodeRecord renders a record as one checksummed line.
 func encodeRecord(rec logRecord) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -57,142 +63,6 @@ func encodeRecord(rec logRecord) ([]byte, error) {
 	line = append(line, payload...)
 	line = append(line, '\n')
 	return line, nil
-}
-
-// Log is an open append-only catalog log. Put and Delete are durable on
-// return under the default SyncAlways policy: each append is flushed
-// and fsynced before the call returns, so a crash immediately after an
-// acknowledged Put cannot lose the record. Callers bulk-loading many
-// records can trade that for throughput with SetSyncPolicy.
-type Log struct {
-	path string
-	f    *os.File
-	w    *bufio.Writer
-	sync SyncPolicy
-}
-
-// OpenLog opens (creating if needed) the log at path for appending,
-// with the SyncAlways durability policy.
-func OpenLog(path string) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: open log: %w", err)
-	}
-	return &Log{path: path, f: f, w: bufio.NewWriter(f), sync: SyncAlways}, nil
-}
-
-// SetSyncPolicy changes when appends are fsynced. SyncAlways (the
-// default) fsyncs every append; SyncNone leaves durability to Sync and
-// Close calls (bulk loads).
-func (l *Log) SetSyncPolicy(p SyncPolicy) { l.sync = p }
-
-// Put appends a put record for the feature.
-func (l *Log) Put(f *Feature) error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	return l.append(logRecord{Op: "put", Feature: f})
-}
-
-// Delete appends a delete record for the ID.
-func (l *Log) Delete(id string) error {
-	if id == "" {
-		return fmt.Errorf("catalog: delete needs an id")
-	}
-	return l.append(logRecord{Op: "delete", ID: id})
-}
-
-func (l *Log) append(rec logRecord) error {
-	line, err := encodeRecord(rec)
-	if err != nil {
-		return err
-	}
-	if _, err := l.w.Write(line); err != nil {
-		return fmt.Errorf("catalog: append log record: %w", err)
-	}
-	// The durability point: under SyncAlways the record has reached the
-	// disk before the append is acknowledged. Buffering until an eventual
-	// Sync would silently lose acknowledged records on a crash — that is
-	// now an explicit opt-in (SetSyncPolicy(SyncNone)) for bulk loads.
-	if l.sync == SyncAlways {
-		return l.Sync()
-	}
-	return nil
-}
-
-// Sync flushes buffered records and fsyncs the file.
-func (l *Log) Sync() error {
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("catalog: flush log: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("catalog: sync log: %w", err)
-	}
-	return nil
-}
-
-// Close flushes and closes the log.
-func (l *Log) Close() error {
-	if err := l.w.Flush(); err != nil {
-		l.f.Close()
-		return fmt.Errorf("catalog: flush log: %w", err)
-	}
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("catalog: close log: %w", err)
-	}
-	return nil
-}
-
-// Replay rebuilds a catalog from the log at path. A missing file yields
-// an empty catalog. A torn final line is ignored; any earlier corruption
-// (bad checksum, bad JSON, unknown op) is an error.
-func Replay(path string) (*Catalog, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return New(), nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("catalog: open log: %w", err)
-	}
-	defer f.Close()
-
-	c := New()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	lineNo := 0
-	var pendingErr error
-	for sc.Scan() {
-		lineNo++
-		if pendingErr != nil {
-			// A bad line followed by more lines means mid-file corruption.
-			return nil, pendingErr
-		}
-		line := sc.Text()
-		rec, err := decodeLine(line)
-		if err != nil {
-			// Remember the error; only fatal if another line follows.
-			pendingErr = fmt.Errorf("catalog: log line %d: %w", lineNo, err)
-			continue
-		}
-		switch rec.Op {
-		case "put":
-			if rec.Feature == nil {
-				return nil, fmt.Errorf("catalog: log line %d: put without feature", lineNo)
-			}
-			if err := c.Upsert(rec.Feature); err != nil {
-				return nil, fmt.Errorf("catalog: log line %d: %w", lineNo, err)
-			}
-		case "delete":
-			c.Delete(rec.ID)
-		default:
-			return nil, fmt.Errorf("catalog: log line %d: unknown op %q", lineNo, rec.Op)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("catalog: read log: %w", err)
-	}
-	// pendingErr on the very last line is a torn append: tolerated.
-	return c, nil
 }
 
 func decodeLine(line string) (logRecord, error) {
@@ -215,54 +85,181 @@ func decodeLine(line string) (logRecord, error) {
 	return rec, nil
 }
 
-// Compact writes the catalog as a fresh snapshot log (one put per
-// feature, ID order) and atomically renames it over path.
-func Compact(path string, c *Catalog) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".catalog-compact-*")
-	if err != nil {
-		return fmt.Errorf("catalog: compact: %w", err)
-	}
-	tmpPath := tmp.Name()
-	defer os.Remove(tmpPath) // no-op after successful rename
+// errStopScan, returned by a scanRecords callback, ends the scan early
+// without error.
+var errStopScan = errors.New("catalog: stop scan")
 
-	w := bufio.NewWriter(tmp)
-	// Read-only export: iterate the shared snapshot, no per-feature copies.
-	for _, f := range c.Snapshot().All() {
-		line, err := encodeRecord(logRecord{Op: "put", Feature: f})
+// scanRecords decodes the record stream r line by line, calling fn with
+// each record's 1-based line number, raw line (no newline) and decoded
+// payload. kind ("journal", "checkpoint") labels errors. With tornTail,
+// an undecodable final line is dropped — a crash mid-append — while an
+// undecodable line followed by more lines is corruption; without it,
+// every undecodable line is an error. fn's errors are returned with the
+// line number attached, except errStopScan, which ends the scan with a
+// nil error.
+func scanRecords(r io.Reader, kind string, tornTail bool, fn func(lineNo int, line string, rec logRecord) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
+	lineNo := 0
+	var pendingErr error
+	for sc.Scan() {
+		lineNo++
+		if pendingErr != nil {
+			// A bad line followed by more lines means mid-file corruption.
+			return pendingErr
+		}
+		line := sc.Text()
+		rec, err := decodeLine(line)
 		if err != nil {
-			tmp.Close()
-			return fmt.Errorf("catalog: compact encode: %w", err)
+			pendingErr = fmt.Errorf("catalog: %s line %d: %w", kind, lineNo, err)
+			if !tornTail {
+				return pendingErr
+			}
+			continue
+		}
+		if err := fn(lineNo, line, rec); err == errStopScan {
+			return nil
+		} else if err != nil {
+			return fmt.Errorf("catalog: %s line %d: %w", kind, lineNo, err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("catalog: read %s: %w", kind, err)
+	}
+	// pendingErr on the very last line is a torn append: tolerated.
+	return nil
+}
+
+// writeCheckpoint writes a checkpoint file: a meta record stamping the
+// generation and sidecar (omitted when both are zero), then one put
+// record per feature. The file is fsynced before the function returns;
+// callers rename it into place.
+func writeCheckpoint(path string, feats []*Feature, gen uint64, sidecar json.RawMessage) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("catalog: checkpoint create: %w", err)
+	}
+	w := bufio.NewWriter(f)
+	write := func(rec logRecord) error {
+		line, err := encodeRecord(rec)
+		if err != nil {
+			return err
 		}
 		if _, err := w.Write(line); err != nil {
-			tmp.Close()
-			return fmt.Errorf("catalog: compact write: %w", err)
+			return fmt.Errorf("catalog: checkpoint write: %w", err)
+		}
+		return nil
+	}
+	if gen != 0 || sidecar != nil {
+		if err := write(logRecord{Op: "meta", Gen: gen, Sidecar: sidecar}); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	for _, feat := range feats {
+		if err := write(logRecord{Op: "put", Feature: feat}); err != nil {
+			f.Close()
+			return err
 		}
 	}
 	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("catalog: compact flush: %w", err)
+		f.Close()
+		return fmt.Errorf("catalog: checkpoint flush: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("catalog: compact sync: %w", err)
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("catalog: checkpoint sync: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("catalog: compact close: %w", err)
-	}
-	if err := os.Rename(tmpPath, path); err != nil {
-		return fmt.Errorf("catalog: compact rename: %w", err)
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("catalog: checkpoint close: %w", err)
 	}
 	return nil
 }
 
-// Save persists the catalog as a compact snapshot at path.
-func Save(path string, c *Catalog) error { return Compact(path, c) }
+// loadCheckpoint reads a checkpoint into the catalog and returns its
+// generation stamp and sidecar. A missing file is an empty store, and a
+// checkpoint without a meta record loads at generation 0.
+func loadCheckpoint(path string, into *Catalog) (uint64, json.RawMessage, error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return 0, nil, nil
+	}
+	if err != nil {
+		return 0, nil, fmt.Errorf("catalog: open checkpoint: %w", err)
+	}
+	defer f.Close()
+	return LoadCheckpointFrom(f, into)
+}
 
-// Load is Replay with a clearer name for snapshot files.
-func Load(path string) (*Catalog, error) { return Replay(path) }
+// LoadCheckpointFrom reads a checkpoint record stream (as written by
+// the compactor and served by a leader's checkpoint endpoint) into the
+// catalog and returns its generation stamp and sidecar. It is
+// loadCheckpoint over an arbitrary reader — the follower bootstrap
+// path, where the checkpoint arrives over HTTP instead of from disk.
+// Checkpoints are written atomically, so unlike journals any corruption
+// — including a torn tail — is an error.
+func LoadCheckpointFrom(f io.Reader, into *Catalog) (uint64, json.RawMessage, error) {
+	var (
+		gen     uint64
+		sidecar json.RawMessage
+	)
+	err := scanRecords(f, "checkpoint", false, func(lineNo int, _ string, rec logRecord) error {
+		switch rec.Op {
+		case "meta":
+			if lineNo != 1 {
+				return fmt.Errorf("meta record not first")
+			}
+			gen, sidecar = rec.Gen, rec.Sidecar
+		case "put":
+			if rec.Feature == nil {
+				return fmt.Errorf("put without feature")
+			}
+			return into.upsertOwned(rec.Feature)
+		default:
+			return fmt.Errorf("unexpected op %q", rec.Op)
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, nil, err
+	}
+	return gen, sidecar, nil
+}
 
-// LogSize returns the byte size of the log file (0 when missing), for
+// Save persists the catalog as a snapshot at path: a headerless
+// checkpoint (one put record per feature, ID order) written beside path
+// and atomically renamed over it.
+func Save(path string, c *Catalog) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".catalog-save-*")
+	if err != nil {
+		return fmt.Errorf("catalog: save: %w", err)
+	}
+	tmp.Close()
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	// Read-only export: iterate the shared snapshot, no per-feature copies.
+	if err := writeCheckpoint(tmp.Name(), c.Snapshot().All(), 0, nil); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return fmt.Errorf("catalog: save rename: %w", err)
+	}
+	syncDir(dir)
+	return nil
+}
+
+// Load reads a snapshot written by Save (or a store checkpoint) into a
+// fresh catalog. A missing file yields an empty catalog; any damage —
+// a torn final line included — is an error, never a partial catalog.
+func Load(path string) (*Catalog, error) {
+	c := New()
+	if _, _, err := loadCheckpoint(path, c); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// LogSize returns the byte size of a record file (0 when missing), for
 // compaction heuristics and the summarization-ratio experiment.
 func LogSize(path string) (int64, error) {
 	st, err := os.Stat(path)
@@ -275,23 +272,11 @@ func LogSize(path string) (int64, error) {
 	return st.Size(), nil
 }
 
-// CopyLog duplicates a log file byte-for-byte (working-catalog forks).
-func CopyLog(src, dst string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return fmt.Errorf("catalog: copy log: %w", err)
+// syncDir fsyncs a directory so a rename within it is durable;
+// best-effort (some filesystems refuse directory fsync).
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
 	}
-	defer in.Close()
-	out, err := os.Create(dst)
-	if err != nil {
-		return fmt.Errorf("catalog: copy log: %w", err)
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return fmt.Errorf("catalog: copy log: %w", err)
-	}
-	if err := out.Close(); err != nil {
-		return fmt.Errorf("catalog: copy log: %w", err)
-	}
-	return nil
 }

@@ -8,147 +8,150 @@ import (
 	"testing"
 )
 
-func TestLogReplayRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "catalog.log")
-	log, err := OpenLog(path)
+// saveLines saves c to a fresh snapshot and returns its lines (each
+// with its newline).
+func saveLines(t testing.TB, c *Catalog) []string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "base.snap")
+	if err := Save(path, c); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lines := strings.SplitAfter(string(data), "\n")
+	return lines[:len(lines)-1] // the empty remainder after the final newline
+}
+
+// writeLines writes lines to name under dir and returns the path.
+func writeLines(t testing.TB, dir, name string, lines []string) string {
+	t.Helper()
+	p := filepath.Join(dir, name)
+	if err := os.WriteFile(p, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func twoFeatureCatalog(t testing.TB) *Catalog {
+	t.Helper()
+	c := New()
+	for _, f := range []*Feature{feat("a.csv", "x"), feat("b.csv", "y")} {
+		if err := c.Upsert(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// TestLogReplayRoundTrip saves a catalog that saw puts and a delete and
+// loads back exactly the surviving feature.
+func TestLogReplayRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "catalog.snap")
+	c := New()
 	f1 := feat("a.csv", "salinity")
 	f2 := feat("b.csv", "water_temperature")
-	if err := log.Put(f1); err != nil {
-		t.Fatal(err)
+	for _, f := range []*Feature{f1, f2} {
+		if err := c.Upsert(f); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := log.Put(f2); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Delete(f1.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Close(); err != nil {
+	c.Delete(f1.ID)
+	if err := Save(path, c); err != nil {
 		t.Fatal(err)
 	}
 
-	c, err := Replay(path)
+	back, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("replayed Len = %d, want 1 (put, put, delete)", c.Len())
+	if back.Len() != 1 {
+		t.Fatalf("loaded Len = %d, want 1 (put, put, delete)", back.Len())
 	}
-	if _, ok := c.Get(f2.ID); !ok {
+	if _, ok := back.Get(f2.ID); !ok {
 		t.Error("surviving feature missing")
 	}
-	if _, ok := c.Get(f1.ID); ok {
+	if _, ok := back.Get(f1.ID); ok {
 		t.Error("deleted feature resurrected")
 	}
 }
 
 func TestReplayMissingFile(t *testing.T) {
-	c, err := Replay(filepath.Join(t.TempDir(), "nope.log"))
+	c, err := Load(filepath.Join(t.TempDir(), "nope.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 0 {
-		t.Error("missing log should replay to empty catalog")
+		t.Error("missing snapshot should load to an empty catalog")
 	}
 }
 
-func TestReplayToleratesTornTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "catalog.log")
-	log, _ := OpenLog(path)
-	_ = log.Put(feat("a.csv", "x"))
-	_ = log.Put(feat("b.csv", "y"))
-	_ = log.Close()
-
-	// Simulate a crash mid-append: truncate the last line.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+// TestLoadRejectsTornSnapshot: Save writes atomically, so a torn final
+// line can only be outside damage — Load fails closed instead of
+// dropping the line the way journal replay does.
+func TestLoadRejectsTornSnapshot(t *testing.T) {
+	lines := saveLines(t, twoFeatureCatalog(t))
+	last := len(lines) - 1
+	lines[last] = lines[last][:len(lines[last])-20]
+	c, err := Load(writeLines(t, t.TempDir(), "torn.snap", lines))
+	if err == nil {
+		t.Fatal("torn snapshot accepted")
 	}
-	torn := data[:len(data)-20]
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err := Replay(path)
-	if err != nil {
-		t.Fatalf("torn tail should be tolerated: %v", err)
-	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1 (second put torn off)", c.Len())
+	if c != nil {
+		t.Error("torn snapshot returned a partial catalog")
 	}
 }
 
 func TestReplayRejectsMidFileCorruption(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "catalog.log")
-	log, _ := OpenLog(path)
-	_ = log.Put(feat("a.csv", "x"))
-	_ = log.Put(feat("b.csv", "y"))
-	_ = log.Close()
-
-	data, _ := os.ReadFile(path)
-	lines := strings.SplitAfter(string(data), "\n")
+	lines := saveLines(t, twoFeatureCatalog(t))
 	// Flip a byte inside the first record's payload.
-	corrupted := strings.Replace(lines[0], `"op":"put"`, `"op":"pXt"`, 1) + lines[1]
-	if err := os.WriteFile(path, []byte(corrupted), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Replay(path); err == nil {
+	lines[0] = strings.Replace(lines[0], `"op":"put"`, `"op":"pXt"`, 1)
+	if _, err := Load(writeLines(t, t.TempDir(), "corrupt.snap", lines)); err == nil {
 		t.Error("mid-file corruption accepted")
 	}
 }
 
 func TestReplayRejectsBadChecksumMidFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "catalog.log")
-	log, _ := OpenLog(path)
-	_ = log.Put(feat("a.csv", "x"))
-	_ = log.Put(feat("b.csv", "y"))
-	_ = log.Close()
-
-	data, _ := os.ReadFile(path)
-	lines := strings.SplitAfter(string(data), "\n")
+	lines := saveLines(t, twoFeatureCatalog(t))
 	// Zero the first line's checksum.
-	corrupted := "00000000" + lines[0][8:] + lines[1]
-	if err := os.WriteFile(path, []byte(corrupted), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Replay(path); err == nil || !strings.Contains(err.Error(), "checksum") {
+	lines[0] = "00000000" + lines[0][8:]
+	if _, err := Load(writeLines(t, t.TempDir(), "badsum.snap", lines)); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Errorf("checksum corruption error = %v", err)
 	}
 }
 
+// TestCompactAndLoad loads a record file holding many redundant puts of
+// one feature and checks that re-saving it compacts to one record per
+// feature.
 func TestCompactAndLoad(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "catalog.log")
-	log, _ := OpenLog(path)
-	// Many redundant puts of the same feature.
+	var lines []string
 	f := feat("a.csv", "x")
 	for i := 0; i < 50; i++ {
-		if err := log.Put(f); err != nil {
+		line, err := encodeRecord(logRecord{Op: "put", Feature: f})
+		if err != nil {
 			t.Fatal(err)
 		}
+		lines = append(lines, string(line))
 	}
-	_ = log.Put(feat("b.csv", "y"))
-	_ = log.Close()
+	line, err := encodeRecord(logRecord{Op: "put", Feature: feat("b.csv", "y")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := writeLines(t, dir, "catalog.snap", append(lines, string(line)))
 
 	before, _ := LogSize(path)
 	c, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Compact(path, c); err != nil {
+	if err := Save(path, c); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := LogSize(path)
 	if after >= before {
-		t.Errorf("compaction did not shrink log: %d -> %d", before, after)
+		t.Errorf("re-save did not compact: %d -> %d", before, after)
 	}
 	again, err := Load(path)
 	if err != nil {
@@ -191,29 +194,11 @@ func TestSaveLoadSnapshot(t *testing.T) {
 			t.Errorf("feature %s time corrupted", id)
 		}
 	}
-}
-
-func TestCopyLog(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "src.log")
-	dst := filepath.Join(dir, "dst.log")
-	c := New()
-	_ = c.Upsert(feat("a.csv", "x"))
-	if err := Save(src, c); err != nil {
-		t.Fatal(err)
-	}
-	if err := CopyLog(src, dst); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != 1 {
-		t.Errorf("copied Len = %d", back.Len())
-	}
-	if err := CopyLog(filepath.Join(dir, "ghost.log"), dst); err == nil {
-		t.Error("copying missing file should fail")
+	// A snapshot is a headerless checkpoint: one put record per feature
+	// and no meta record.
+	data, _ := os.ReadFile(path)
+	if n := strings.Count(string(data), "\n"); n != c.Len() || strings.Contains(string(data), `"op":"meta"`) {
+		t.Errorf("snapshot has %d lines (want %d) or a meta record", n, c.Len())
 	}
 }
 
@@ -224,37 +209,7 @@ func TestLogSizeMissing(t *testing.T) {
 	}
 }
 
-func TestLogPutValidates(t *testing.T) {
-	dir := t.TempDir()
-	log, _ := OpenLog(filepath.Join(dir, "l.log"))
-	defer log.Close()
-	bad := feat("a.csv", "x")
-	bad.ID = "mismatch"
-	if err := log.Put(bad); err == nil {
-		t.Error("invalid feature logged")
-	}
-	if err := log.Delete(""); err == nil {
-		t.Error("empty delete id accepted")
-	}
-}
-
-func BenchmarkLogPut(b *testing.B) {
-	dir := b.TempDir()
-	log, err := OpenLog(filepath.Join(dir, "bench.log"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer log.Close()
-	f := feat("bench.csv", "salinity", "water_temperature", "turbidity")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := log.Put(f); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReplay1000(b *testing.B) {
+func BenchmarkLoad1000(b *testing.B) {
 	dir := b.TempDir()
 	path := filepath.Join(dir, "bench.log")
 	c := New()
@@ -266,7 +221,7 @@ func BenchmarkReplay1000(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Replay(path); err != nil {
+		if _, err := Load(path); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -323,41 +278,20 @@ func TestSaveLoadShardedCatalog(t *testing.T) {
 	}
 }
 
-// TestReplayNeverHalfLoads pins the all-or-nothing contract: a log with
-// a flipped checksum or a truncated record anywhere before the final
-// line must be rejected with a nil catalog — corruption can surface no
-// partially applied state for a caller to serve by accident.
+// TestReplayNeverHalfLoads pins the all-or-nothing contract: a snapshot
+// with a flipped checksum or a truncated record anywhere must be
+// rejected with a nil catalog — corruption can surface no partially
+// applied state for a caller to serve by accident.
 func TestReplayNeverHalfLoads(t *testing.T) {
 	dir := t.TempDir()
-	write := func(name string, lines []string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(strings.Join(lines, "")), 0o644); err != nil {
+	c := New()
+	for i := 0; i < 3; i++ {
+		if err := c.Upsert(feat(fmt.Sprintf("d%d.csv", i), "salinity")); err != nil {
 			t.Fatal(err)
 		}
-		return p
 	}
-	mk := func() []string {
-		p := filepath.Join(dir, "base.log")
-		log, err := OpenLog(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			if err := log.Put(feat(fmt.Sprintf("d%d.csv", i), "salinity")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := log.Close(); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return strings.SplitAfter(string(data), "\n")
-	}
+	lines := saveLines(t, c)
 
-	lines := mk()
 	// Flip one checksum hex digit on the middle record.
 	flipped := append([]string(nil), lines...)
 	if flipped[1][0] == '0' {
@@ -365,29 +299,29 @@ func TestReplayNeverHalfLoads(t *testing.T) {
 	} else {
 		flipped[1] = "0" + flipped[1][1:]
 	}
-	c, err := Replay(write("flipped.log", flipped))
+	back, err := Load(writeLines(t, dir, "flipped.snap", flipped))
 	if err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Errorf("flipped checksum: err = %v", err)
 	}
-	if c != nil {
+	if back != nil {
 		t.Error("flipped checksum returned a half-loaded catalog")
 	}
 
 	// Truncate the middle record but keep its newline, so a full record
-	// still follows — mid-log truncation, not a tolerated torn tail.
+	// still follows.
 	truncated := append([]string(nil), lines...)
 	truncated[1] = truncated[1][:len(truncated[1])/2] + "\n"
-	c, err = Replay(write("truncated.log", truncated))
+	back, err = Load(writeLines(t, dir, "truncated.snap", truncated))
 	if err == nil {
-		t.Error("mid-log truncated record accepted")
+		t.Error("mid-file truncated record accepted")
 	}
-	if c != nil {
+	if back != nil {
 		t.Error("truncated record returned a half-loaded catalog")
 	}
 
-	// Control: the intact lines replay to all three features.
-	c, err = Replay(write("intact.log", lines))
-	if err != nil || c.Len() != 3 {
-		t.Fatalf("intact log: len=%v err=%v", c, err)
+	// Control: the intact lines load all three features.
+	back, err = Load(writeLines(t, dir, "intact.snap", lines))
+	if err != nil || back.Len() != 3 {
+		t.Fatalf("intact snapshot: len=%v err=%v", back, err)
 	}
 }

@@ -411,27 +411,6 @@ func (sh *Shard) ParentID(name string) (uint32, bool) { return sh.parents.id(nam
 // Read-only.
 func (sh *Shard) ParentPostings(id uint32) Postings { return sh.parents.at(id) }
 
-// WithVariable returns the shard positions of features whose searchable
-// variables include name, sorted ascending, in a freshly allocated
-// slice. Convenience wrapper over VariableID/VariablePostings for tests
-// and offline readers; the query path uses the containers directly.
-func (sh *Shard) WithVariable(name string) []int32 {
-	if l, ok := sh.names.lookup(name); ok && l.Len() > 0 {
-		return l.AppendTo(nil)
-	}
-	return nil
-}
-
-// WithParent returns the shard positions of features having a
-// searchable variable whose hierarchy parent is name, sorted ascending,
-// in a freshly allocated slice. Wrapper, like WithVariable.
-func (sh *Shard) WithParent(name string) []int32 {
-	if l, ok := sh.parents.lookup(name); ok && l.Len() > 0 {
-		return l.AppendTo(nil)
-	}
-	return nil
-}
-
 // SpatialCandidatesAppend appends to dst the shard positions of every
 // feature whose scoring distance from the query box (BBox.DistanceKm
 // for point-sized boxes, BBox.DistanceToBoxKm otherwise) can be at most
@@ -445,22 +424,12 @@ func (sh *Shard) SpatialCandidatesAppend(query geo.BBox, maxKm float64, dst []in
 	return sh.spatial.candidates(query, maxKm, dst)
 }
 
-// SpatialCandidates is SpatialCandidatesAppend into a fresh slice.
-func (sh *Shard) SpatialCandidates(query geo.BBox, maxKm float64) (pos []int32, ok bool) {
-	return sh.spatial.candidates(query, maxKm, nil)
-}
-
 // TimeCandidatesAppend appends to dst the shard positions of every
 // feature whose temporal gap from the query range (TimeRange.Distance)
 // can be at most maxGap, again conservatively and in unspecified order.
 // ok is false when the gap is too large to prune.
 func (sh *Shard) TimeCandidatesAppend(query geo.TimeRange, maxGap time.Duration, dst []int32) (pos []int32, ok bool) {
 	return sh.temporal.candidates(query, maxGap, dst)
-}
-
-// TimeCandidates is TimeCandidatesAppend into a fresh slice.
-func (sh *Shard) TimeCandidates(query geo.TimeRange, maxGap time.Duration) (pos []int32, ok bool) {
-	return sh.temporal.candidates(query, maxGap, nil)
 }
 
 // --- spatial grid ---------------------------------------------------

@@ -155,7 +155,7 @@ func TestSpatialCandidatesSuperset(t *testing.T) {
 		maxKm := []float64{10, 100, 500, 2000}[rng.Intn(4)]
 		qb := geo.BBox{MinLat: p.Lat, MinLon: p.Lon, MaxLat: p.Lat, MaxLon: p.Lon}
 		for si, sh := range snap.Shards() {
-			pos, ok := sh.SpatialCandidates(qb, maxKm)
+			pos, ok := sh.SpatialCandidatesAppend(qb, maxKm, nil)
 			if !ok {
 				continue
 			}
@@ -192,7 +192,7 @@ func TestTimeCandidatesSuperset(t *testing.T) {
 		q := geo.NewTimeRange(start, start.AddDate(0, 0, rng.Intn(90)))
 		maxGap := time.Duration(rng.Intn(1000)) * 24 * time.Hour
 		for si, sh := range snap.Shards() {
-			pos, ok := sh.TimeCandidates(q, maxGap)
+			pos, ok := sh.TimeCandidatesAppend(q, maxGap, nil)
 			if !ok {
 				t.Fatalf("TimeCandidates declined maxGap %v", maxGap)
 			}
@@ -244,7 +244,7 @@ func TestConcurrentSnapshotAndPublish(t *testing.T) {
 				}
 				snap := published.Snapshot()
 				for _, sh := range snap.Shards() {
-					for _, p := range sh.WithVariable("salinity") {
+					for _, p := range withVariable(sh, "salinity") {
 						if f := sh.At(p); len(f.Variables) == 0 {
 							t.Error("corrupted snapshot feature")
 							return
@@ -261,20 +261,33 @@ func TestConcurrentSnapshotAndPublish(t *testing.T) {
 	wg.Wait()
 }
 
-// countWithVariable sums WithVariable hits across every shard.
+// withVariable lists a shard's positions of the features carrying name.
+func withVariable(sh *Shard, name string) []int32 {
+	id, ok := sh.VariableID(name)
+	if !ok {
+		return nil
+	}
+	return sh.VariablePostings(id).AppendTo(nil)
+}
+
+// countWithVariable sums the name's posting sizes across every shard.
 func countWithVariable(s *Snapshot, name string) int {
 	n := 0
 	for _, sh := range s.Shards() {
-		n += len(sh.WithVariable(name))
+		if id, ok := sh.VariableID(name); ok {
+			n += sh.VariablePostings(id).Len()
+		}
 	}
 	return n
 }
 
-// countWithParent sums WithParent hits across every shard.
+// countWithParent sums the parent's posting sizes across every shard.
 func countWithParent(s *Snapshot, name string) int {
 	n := 0
 	for _, sh := range s.Shards() {
-		n += len(sh.WithParent(name))
+		if id, ok := sh.ParentID(name); ok {
+			n += sh.ParentPostings(id).Len()
+		}
 	}
 	return n
 }

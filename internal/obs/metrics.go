@@ -12,7 +12,7 @@ import (
 )
 
 // Registry is a minimal Prometheus-compatible metrics registry:
-// counters, gauges (direct or callback-backed), and fixed-bucket
+// counters and gauges (direct or callback-backed) and fixed-bucket
 // histograms, all lock-free on the hot path (the registry lock is taken
 // only at registration and exposition). Instruments are get-or-create,
 // so package-level `var x = obs.Default().Counter(...)` registration is
@@ -58,12 +58,14 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-type funcGauge struct {
+// funcValue is a callback-backed instrument (GaugeFunc, CounterFunc),
+// evaluated at exposition time.
+type funcValue struct {
 	mu sync.Mutex
 	fn func() float64
 }
 
-func (g *funcGauge) value() float64 {
+func (g *funcValue) value() float64 {
 	g.mu.Lock()
 	fn := g.fn
 	g.mu.Unlock()
@@ -106,6 +108,22 @@ func (h *Histogram) ObserveSeconds(ns int64) {
 // Count returns how many observations were recorded.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
+// Sum returns the sum of the recorded observations.
+func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
+
+// Cumulative returns the cumulative bucket counts: element i counts the
+// observations at or below bound i, and the last element (+Inf) counts
+// them all.
+func (h *Histogram) Cumulative() []uint64 {
+	out := make([]uint64, len(h.counts))
+	var cum uint64
+	for i := range h.counts {
+		cum += h.counts[i].Load()
+		out[i] = cum
+	}
+	return out
+}
+
 // DurationBuckets are the shared bounds (seconds) for every stage
 // duration histogram: 100µs to 10s, roughly logarithmic.
 var DurationBuckets = []float64{
@@ -115,10 +133,13 @@ var DurationBuckets = []float64{
 
 var defaultRegistry = NewRegistry()
 
-// Default returns the process-wide registry that GET /metrics exposes.
+// Default returns the process-wide registry for families owned by
+// packages with no server handle (catalog, core); GET /metrics exposes
+// it ahead of each server's own registry.
 func Default() *Registry { return defaultRegistry }
 
-// NewRegistry returns an empty registry (tests use private ones).
+// NewRegistry returns an empty registry (each server owns one, so
+// servers sharing a process never cross counters).
 func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
@@ -188,7 +209,18 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 // at exposition time. Re-registering replaces the callback, so a
 // restarted server in tests does not leave a stale closure behind.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	g := r.instrument(name, help, "gauge", nil, labels, func() any { return &funcGauge{} }).(*funcGauge)
+	r.funcInstrument(name, help, "gauge", fn, labels)
+}
+
+// CounterFunc registers (or re-points) a callback-backed counter: a
+// monotonic count owned elsewhere (a pool, a gate, a replicator),
+// exposed with `# TYPE counter`.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...string) {
+	r.funcInstrument(name, help, "counter", func() float64 { return float64(fn()) }, labels)
+}
+
+func (r *Registry) funcInstrument(name, help, kind string, fn func() float64, labels []string) {
+	g := r.instrument(name, help, kind, nil, labels, func() any { return &funcValue{} }).(*funcValue)
 	g.mu.Lock()
 	g.fn = fn
 	g.mu.Unlock()
@@ -228,18 +260,18 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 				writeSample(w, f.name, key, "", formatUint(in.Value()))
 			case *Gauge:
 				writeSample(w, f.name, key, "", strconv.FormatInt(in.Value(), 10))
-			case *funcGauge:
+			case *funcValue:
 				writeSample(w, f.name, key, "", formatFloat(in.value()))
 			case *Histogram:
-				var cum uint64
-				for i, b := range in.bounds {
-					cum += in.counts[i].Load()
-					writeSample(w, f.name+"_bucket", key, `le="`+formatFloat(b)+`"`, formatUint(cum))
+				for i, cum := range in.Cumulative() {
+					le := "+Inf"
+					if i < len(in.bounds) {
+						le = formatFloat(in.bounds[i])
+					}
+					writeSample(w, f.name+"_bucket", key, `le="`+le+`"`, formatUint(cum))
 				}
-				cum += in.counts[len(in.bounds)].Load()
-				writeSample(w, f.name+"_bucket", key, `le="+Inf"`, formatUint(cum))
-				writeSample(w, f.name+"_sum", key, "", formatFloat(math.Float64frombits(in.sum.Load())))
-				writeSample(w, f.name+"_count", key, "", formatUint(in.count.Load()))
+				writeSample(w, f.name+"_sum", key, "", formatFloat(in.Sum()))
+				writeSample(w, f.name+"_count", key, "", formatUint(in.Count()))
 			}
 		}
 	}
@@ -260,6 +292,12 @@ func writeSample(w io.Writer, name, labels, extra, val string) {
 
 func formatUint(v uint64) string { return strconv.FormatUint(v, 10) }
 
+// formatFloat renders integral values as integers (callback counters
+// and byte-count gauges stay exact, never 1e+06) and the rest in the
+// shortest 'g' form.
 func formatFloat(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1<<53 {
+		return strconv.FormatInt(int64(v), 10)
+	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -237,6 +237,39 @@ func TestGaugeFuncReRegisterReplaces(t *testing.T) {
 	}
 }
 
+// TestCallbackCountersAndHistogramReads covers the reads a server's
+// /stats and /metrics share: CounterFunc keeps `# TYPE counter`,
+// integral callback values render exactly (never in exponent form), and
+// Cumulative/Sum agree with the exposition.
+func TestCallbackCountersAndHistogramReads(t *testing.T) {
+	r := NewRegistry()
+	r.CounterFunc("t_pool_hits_total", "Pool hits.", func() uint64 { return 1234567 })
+	r.GaugeFunc("t_bytes", "Bytes.", func() float64 { return 2e6 })
+	h := r.Histogram("t_lat_seconds", "Latency.", []float64{0.001, 0.01})
+	h.Observe(0.0005)
+	h.Observe(0.005)
+	h.Observe(0.25)
+
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	for _, want := range []string{
+		"# TYPE t_pool_hits_total counter",
+		"t_pool_hits_total 1234567\n",
+		"t_bytes 2000000\n",
+		"t_lat_seconds_sum 0.2555\n",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q\n%s", want, b.String())
+		}
+	}
+	if got := h.Cumulative(); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Errorf("Cumulative = %v, want [1 2 3]", got)
+	}
+	if sum := h.Sum(); sum < 0.2554 || sum > 0.2556 {
+		t.Errorf("Sum = %v, want 0.2555", sum)
+	}
+}
+
 func TestSlowLogRing(t *testing.T) {
 	l := NewSlowLog(3, 10)
 	if l.Slow(5) {

@@ -1,8 +1,6 @@
 package semdiv
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"metamess/internal/vocab"
@@ -20,12 +18,15 @@ func TestKnowledgeSaveLoadRoundTrip(t *testing.T) {
 	k.Abbrevs["xwt"] = "water_temperature"
 	k.Ambiguous["vel"] = []string{"water_velocity", "velocity_flag"}
 
-	path := filepath.Join(t.TempDir(), "knowledge.json")
-	if err := SaveKnowledge(k, path); err != nil {
+	data, err := EncodeKnowledge(k)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadKnowledge(path, vocab.Standard())
+	back, err := NewKnowledge(vocab.Standard())
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := MergeEncodedKnowledge(back, data); err != nil {
 		t.Fatal(err)
 	}
 	if !back.Synonyms.Covers("exotic_wtemp_v9") {
@@ -57,31 +58,17 @@ func TestKnowledgeSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadKnowledgeErrors(t *testing.T) {
-	if _, err := LoadKnowledge(filepath.Join(t.TempDir(), "ghost.json"), vocab.Standard()); err == nil {
-		t.Error("missing file accepted")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadKnowledge(bad, vocab.Standard()); err == nil {
-		t.Error("bad JSON accepted")
-	}
-	wrongVersion := filepath.Join(t.TempDir(), "v9.json")
-	if err := os.WriteFile(wrongVersion, []byte(`{"version": 9}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadKnowledge(wrongVersion, vocab.Standard()); err == nil {
-		t.Error("unknown version accepted")
-	}
-}
-
-func TestSaveKnowledgeUnwritablePath(t *testing.T) {
-	k, err := NewKnowledge(vocab.Standard())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveKnowledge(k, filepath.Join(t.TempDir(), "no", "such", "dir", "k.json")); err == nil {
-		t.Error("unwritable path accepted")
+	for name, data := range map[string]string{
+		"empty":         "",
+		"bad JSON":      "not json",
+		"wrong version": `{"version": 9}`,
+	} {
+		k, err := NewKnowledge(vocab.Standard())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := MergeEncodedKnowledge(k, []byte(data)); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

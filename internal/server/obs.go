@@ -2,38 +2,10 @@ package server
 
 import (
 	"bytes"
-	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"metamess/internal/obs"
-	"metamess/internal/search"
-)
-
-// Read-path metric families in the process-wide registry. Stage
-// histograms are fed from each executed query's obs.QueryObs footprint
-// after the search returns — the executor itself only accumulates
-// nanosecond counters, so the search hot path never touches the
-// registry.
-var (
-	searchStageParse = obs.Default().Histogram("dnh_search_stage_duration_seconds",
-		"Search stage wall time in seconds.", obs.DurationBuckets, "stage", "parse")
-	searchStagePlan = obs.Default().Histogram("dnh_search_stage_duration_seconds",
-		"Search stage wall time in seconds.", obs.DurationBuckets, "stage", "plan")
-	searchStageScatter = obs.Default().Histogram("dnh_search_stage_duration_seconds",
-		"Search stage wall time in seconds.", obs.DurationBuckets, "stage", "scatter")
-	searchStageMerge = obs.Default().Histogram("dnh_search_stage_duration_seconds",
-		"Search stage wall time in seconds.", obs.DurationBuckets, "stage", "merge")
-	searchStageExplain = obs.Default().Histogram("dnh_search_stage_duration_seconds",
-		"Search stage wall time in seconds.", obs.DurationBuckets, "stage", "explain")
-	tracesForced = obs.Default().Counter("dnh_traces_total",
-		"Traced requests by mode.", "mode", "forced")
-	tracesSampled = obs.Default().Counter("dnh_traces_total",
-		"Traced requests by mode.", "mode", "sampled")
-	slowQueries = obs.Default().Counter("dnh_slow_queries_total",
-		"Queries at or above the slow-query threshold.")
 )
 
 // beginQuery builds the request's observability footprint: every search
@@ -46,10 +18,10 @@ func (s *Server) beginQuery(r *http.Request) *obs.QueryObs {
 	if r.URL.Query().Get("debug") == "trace" || r.Header.Get("X-Trace") == "1" {
 		qo.Forced = true
 		qo.Trace = obs.NewTrace()
-		tracesForced.Inc()
+		s.metrics.tracesForced.Inc()
 	} else if s.sampler.Sample() {
 		qo.Trace = obs.NewTrace()
-		tracesSampled.Inc()
+		s.metrics.tracesSampled.Inc()
 	}
 	if qo.Trace != nil {
 		qo.Root = qo.Trace.Start(-1, "search")
@@ -64,16 +36,6 @@ func (s *Server) endQuery(qo *obs.QueryObs) {
 	obs.PutQueryObs(qo)
 }
 
-// observeStages feeds one executed search's stage timings into the
-// histograms. Parse is observed separately (once per request, not per
-// generation-race attempt).
-func observeStages(qo *obs.QueryObs) {
-	searchStagePlan.ObserveSeconds(qo.PlanNs)
-	searchStageScatter.ObserveSeconds(qo.ScatterNs)
-	searchStageMerge.ObserveSeconds(qo.MergeNs)
-	searchStageExplain.ObserveSeconds(qo.ExplainNs)
-}
-
 // noteSlow records the finished request into the slow-query log when it
 // crossed the threshold, and mirrors it to the structured log. The
 // fast path is one nil/threshold check.
@@ -82,7 +44,7 @@ func (s *Server) noteSlow(start time.Time, key string, gen uint64, qo *obs.Query
 	if !s.slow.Slow(wallMs) {
 		return
 	}
-	slowQueries.Inc()
+	s.metrics.slowQueries.Inc()
 	e := obs.SlowEntry{
 		Time:       time.Now().UTC().Format(time.RFC3339),
 		Query:      key,
@@ -121,185 +83,16 @@ func (s *Server) noteSlow(start time.Time, key string, gen uint64, qo *obs.Query
 }
 
 // handleMetrics serves the Prometheus text exposition: the process-wide
-// registry (search/wrangle/publish/journal stage families) plus this
-// server instance's own families (HTTP, cache, pool, snapshot,
-// durability gauges).
+// registry (catalog and core families: journal, compaction, wrangle and
+// publish stages) followed by this server's own registry (HTTP, search
+// stages, traces, cache, overload, pool, snapshot, durability, replica).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
 	obs.Default().WritePrometheus(&buf)
-	s.writeServerFamilies(&buf)
+	s.metrics.reg.WritePrometheus(&buf)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	w.Write(buf.Bytes())
-}
-
-// writeServerFamilies renders the families owned by this Server value
-// (not the process-wide registry, so tests running several servers in
-// one process don't cross their counters).
-func (s *Server) writeServerFamilies(w io.Writer) {
-	promFamily(w, "dnh_uptime_seconds", "gauge", "Seconds since the server started.")
-	promFloat(w, "dnh_uptime_seconds", "", time.Since(s.metrics.start).Seconds())
-	promFamily(w, "dnh_http_in_flight", "gauge", "Requests currently being served.")
-	promInt(w, "dnh_http_in_flight", "", s.metrics.inFlight.Load())
-
-	promFamily(w, "dnh_http_requests_total", "counter", "HTTP requests by endpoint.")
-	for _, name := range s.metrics.names {
-		promUint(w, "dnh_http_requests_total", `endpoint="`+name+`"`, s.metrics.endpoints[name].requests.Load())
-	}
-	promFamily(w, "dnh_http_request_errors_total", "counter", "HTTP responses with status >= 400 by endpoint.")
-	for _, name := range s.metrics.names {
-		promUint(w, "dnh_http_request_errors_total", `endpoint="`+name+`"`, s.metrics.endpoints[name].errors.Load())
-	}
-	promFamily(w, "dnh_http_request_duration_seconds", "histogram", "HTTP request latency by endpoint.")
-	for _, name := range s.metrics.names {
-		e := s.metrics.endpoints[name]
-		labels := `endpoint="` + name + `"`
-		var cum uint64
-		for i, ms := range latencyBucketsMs {
-			cum += e.buckets[i].Load()
-			promUint(w, "dnh_http_request_duration_seconds_bucket",
-				labels+`,le="`+strconv.FormatFloat(ms/1000, 'g', -1, 64)+`"`, cum)
-		}
-		cum += e.buckets[len(latencyBucketsMs)].Load()
-		promUint(w, "dnh_http_request_duration_seconds_bucket", labels+`,le="+Inf"`, cum)
-		promFloat(w, "dnh_http_request_duration_seconds_sum", labels, float64(e.totalUs.Load())/1e6)
-		promUint(w, "dnh_http_request_duration_seconds_count", labels, e.requests.Load())
-	}
-
-	promFamily(w, "dnh_cache_hits_total", "counter", "Query-cache hits.")
-	promUint(w, "dnh_cache_hits_total", "", s.metrics.cacheHits.Load())
-	promFamily(w, "dnh_cache_misses_total", "counter", "Query-cache misses.")
-	promUint(w, "dnh_cache_misses_total", "", s.metrics.cacheMiss.Load())
-	promFamily(w, "dnh_cache_entries", "gauge", "Query-cache resident entries.")
-	promInt(w, "dnh_cache_entries", "", int64(s.cache.Len()))
-
-	// Overload families: always rendered (at zero when idle or when
-	// admission is disabled) so dashboards and alerts can be written
-	// before the first incident.
-	promFamily(w, "dnh_admission_shed_total", "counter", "Search requests shed with 429, by reason.")
-	if a := s.adm; a != nil {
-		promUint(w, "dnh_admission_shed_total", `reason="queue_full"`, a.shedFull.Load())
-		promUint(w, "dnh_admission_shed_total", `reason="wait_timeout"`, a.shedTimeout.Load())
-		promUint(w, "dnh_admission_shed_total", `reason="client_gone"`, a.shedClient.Load())
-	} else {
-		promUint(w, "dnh_admission_shed_total", `reason="queue_full"`, 0)
-		promUint(w, "dnh_admission_shed_total", `reason="wait_timeout"`, 0)
-		promUint(w, "dnh_admission_shed_total", `reason="client_gone"`, 0)
-	}
-	promFamily(w, "dnh_admission_in_flight", "gauge", "Searches holding an admission slot.")
-	promInt(w, "dnh_admission_in_flight", "", s.adm.inFlight())
-	var queued, limit int64
-	if a := s.adm; a != nil {
-		queued, limit = a.queued.Load(), int64(a.max)
-	}
-	promFamily(w, "dnh_admission_queued", "gauge", "Searches waiting for an admission slot.")
-	promInt(w, "dnh_admission_queued", "", queued)
-	promFamily(w, "dnh_admission_limit", "gauge", "Configured in-flight search limit (0 = unlimited).")
-	promInt(w, "dnh_admission_limit", "", limit)
-	promFamily(w, "dnh_flights_collapsed_total", "counter", "Follower responses served from a singleflight leader's bytes.")
-	promUint(w, "dnh_flights_collapsed_total", "", s.metrics.collapsed.Load())
-	promFamily(w, "dnh_cache_stale_total", "counter", "Previous-generation cache bytes served during the stale window.")
-	promUint(w, "dnh_cache_stale_total", "", s.metrics.staleServed.Load())
-	promFamily(w, "dnh_cache_revalidations_total", "counter", "Background flights warming the new generation after a publish.")
-	promUint(w, "dnh_cache_revalidations_total", "", s.metrics.revalidations.Load())
-	promFamily(w, "dnh_search_partial_total", "counter", "Deadline-expired searches answered with partial results.")
-	promUint(w, "dnh_search_partial_total", "", s.metrics.partials.Load())
-	promFamily(w, "dnh_ratelimit_shed_total", "counter", "Search requests refused by the per-client rate limit.")
-	promUint(w, "dnh_ratelimit_shed_total", "", s.metrics.ratelimitShed.Load())
-	promFamily(w, "dnh_ratelimit_clients", "gauge", "Clients with a resident rate-limit bucket.")
-	promInt(w, "dnh_ratelimit_clients", "", int64(s.limiter.clients()))
-	promFamily(w, "dnh_min_generation_waits_total", "counter", "Searches that waited for an X-Min-Generation to publish.")
-	promUint(w, "dnh_min_generation_waits_total", "", s.metrics.minGenWaits.Load())
-	promFamily(w, "dnh_min_generation_stale_total", "counter", "X-Min-Generation waits that expired into 412.")
-	promUint(w, "dnh_min_generation_stale_total", "", s.metrics.minGenStale.Load())
-	promFamily(w, "dnh_journal_tail_total", "counter", "Journal tail responses served to followers.")
-	promUint(w, "dnh_journal_tail_total", "", s.metrics.tailsServed.Load())
-	promFamily(w, "dnh_publishes_total", "counter", "Accepted push publishes.")
-	promUint(w, "dnh_publishes_total", "", s.metrics.publishes.Load())
-	promFamily(w, "dnh_publishes_stable_total", "counter", "Accepted publishes whose delta was empty (generation unchanged).")
-	promUint(w, "dnh_publishes_stable_total", "", s.metrics.publishStable.Load())
-	promFamily(w, "dnh_publish_rejected_total", "counter", "Publish batches refused with no state change.")
-	promUint(w, "dnh_publish_rejected_total", "", s.metrics.publishRejected.Load())
-	promFamily(w, "dnh_publish_features_total", "counter", "Features upserted through push publishes.")
-	promUint(w, "dnh_publish_features_total", "", s.metrics.publishFeaturesN.Load())
-
-	promFamily(w, "dnh_searches_total", "counter", "Searches executed against the catalog (cache hits excluded).")
-	promUint(w, "dnh_searches_total", "", s.metrics.searchesRun.Load())
-	poolHits, poolMisses := search.PoolStats()
-	promFamily(w, "dnh_search_pool_hits_total", "counter", "Query-scratch pool reuses.")
-	promUint(w, "dnh_search_pool_hits_total", "", poolHits)
-	promFamily(w, "dnh_search_pool_misses_total", "counter", "Query-scratch pool fresh allocations.")
-	promUint(w, "dnh_search_pool_misses_total", "", poolMisses)
-
-	promFamily(w, "dnh_snapshot_generation", "gauge", "Published snapshot generation.")
-	promUint(w, "dnh_snapshot_generation", "", s.sys.SnapshotGeneration())
-	promFamily(w, "dnh_datasets", "gauge", "Datasets in the published catalog.")
-	promInt(w, "dnh_datasets", "", int64(s.sys.DatasetCount()))
-	promFamily(w, "dnh_snapshot_shard_features", "gauge", "Features per snapshot shard.")
-	for i, n := range s.sys.SnapshotShardSizes() {
-		promInt(w, "dnh_snapshot_shard_features", `shard="`+strconv.Itoa(i)+`"`, int64(n))
-	}
-
-	if ds, ok := s.sys.Durability(); ok {
-		// Journal bytes since the last checkpoint are exactly the warm
-		// restart's replay backlog — the lag a replica would have to
-		// catch up.
-		promFamily(w, "dnh_journal_lag_bytes", "gauge", "Journal bytes not yet folded into the checkpoint (replay backlog).")
-		promInt(w, "dnh_journal_lag_bytes", "", ds.JournalBytes)
-		promFamily(w, "dnh_checkpoint_size_bytes", "gauge", "Checkpoint size on disk.")
-		promInt(w, "dnh_checkpoint_size_bytes", "", ds.CheckpointBytes)
-		promFamily(w, "dnh_store_degraded", "gauge", "1 while the durable store refuses appends after a journal error.")
-		var degraded int64
-		if ds.Degraded {
-			degraded = 1
-		}
-		promInt(w, "dnh_store_degraded", "", degraded)
-	}
-
-	if rep := s.replica; rep != nil {
-		rs := rep.Stats()
-		promFamily(w, "dnh_replica_lag_generations", "gauge", "Generations this follower is behind its leader.")
-		promUint(w, "dnh_replica_lag_generations", "", rs.LagGenerations)
-		promFamily(w, "dnh_replica_lag_seconds", "gauge", "Seconds since this follower was last caught up.")
-		promFloat(w, "dnh_replica_lag_seconds", "", rs.LagSeconds)
-		promFamily(w, "dnh_replica_applied_total", "counter", "Replicated records applied from the leader's journal.")
-		promUint(w, "dnh_replica_applied_total", "", rs.AppliedRecords)
-		promFamily(w, "dnh_replica_resyncs_total", "counter", "Checkpoint bootstraps after falling behind the journals.")
-		promUint(w, "dnh_replica_resyncs_total", "", rs.Resyncs)
-		promFamily(w, "dnh_replica_connected", "gauge", "1 while the last leader exchange succeeded.")
-		var connected int64
-		if rs.Connected {
-			connected = 1
-		}
-		promInt(w, "dnh_replica_connected", "", connected)
-	}
-
-	promFamily(w, "dnh_slowlog_entries", "gauge", "Slow-query log resident entries.")
-	promInt(w, "dnh_slowlog_entries", "", int64(s.slow.Len()))
-}
-
-func promFamily(w io.Writer, name, kind, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
-}
-
-func promUint(w io.Writer, name, labels string, v uint64) {
-	promValue(w, name, labels, strconv.FormatUint(v, 10))
-}
-
-func promInt(w io.Writer, name, labels string, v int64) {
-	promValue(w, name, labels, strconv.FormatInt(v, 10))
-}
-
-func promFloat(w io.Writer, name, labels string, v float64) {
-	promValue(w, name, labels, strconv.FormatFloat(v, 'g', -1, 64))
-}
-
-func promValue(w io.Writer, name, labels, val string) {
-	if labels == "" {
-		fmt.Fprintf(w, "%s %s\n", name, val)
-	} else {
-		fmt.Fprintf(w, "%s{%s} %s\n", name, labels, val)
-	}
 }
 
 // SlowlogResponse is the /debug/slowlog body.

@@ -40,8 +40,10 @@ func TestMetricsExposition(t *testing.T) {
 
 	text := string(body)
 	// Families the acceptance gate cares about: search stages, journal,
-	// cache, pool, snapshot, slowlog. The journal/wrangle families are
-	// package-registered so they exist at zero even on a non-durable
+	// cache, pool, snapshot, slowlog, overload, ingest — every family the
+	// CI smokes grep (the replica families are checked on a follower in
+	// TestMetricsDurableAndReplicaFamilies). The journal/wrangle families
+	// are package-registered so they exist at zero even on a non-durable
 	// system.
 	for _, want := range []string{
 		`dnh_search_stage_duration_seconds_bucket{stage="parse",le="`,
@@ -60,9 +62,29 @@ func TestMetricsExposition(t *testing.T) {
 		"dnh_http_request_duration_seconds_bucket",
 		"dnh_slowlog_entries",
 		"dnh_slow_queries_total",
+		`dnh_traces_total{mode="forced"} `,
+		`dnh_admission_shed_total{reason="queue_full"} 0`,
+		"dnh_admission_limit 0",
+		"dnh_flights_collapsed_total",
+		"dnh_cache_stale_total",
+		"dnh_cache_revalidations_total",
+		"dnh_search_partial_total",
+		"dnh_ratelimit_shed_total 0",
+		"dnh_min_generation_waits_total",
+		"dnh_journal_tail_total",
+		"dnh_publishes_total",
+		"dnh_publish_features_total",
+		"dnh_publish_rejected_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// The process-wide and per-server registries render back to back:
+	// a family registered in both would be exposed twice.
+	for line, n := range typeLines(text) {
+		if n > 1 {
+			t.Errorf("%q appears %d times", line, n)
 		}
 	}
 
@@ -80,6 +102,93 @@ func TestMetricsExposition(t *testing.T) {
 	// cache lookup), so the parse histogram must have observations.
 	if !regexp.MustCompile(`dnh_search_stage_duration_seconds_count\{stage="parse"\} [1-9]`).MatchString(text) {
 		t.Errorf("parse stage histogram has no observations:\n%s", text)
+	}
+}
+
+// typeLines counts each "# TYPE" line of an exposition.
+func typeLines(text string) map[string]int {
+	out := make(map[string]int)
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			out[line]++
+		}
+	}
+	return out
+}
+
+// TestMetricsDurableAndReplicaFamilies checks that a durable leader
+// exposes the durability families and a Replica server the replication
+// families, each under its # TYPE.
+func TestMetricsDurableAndReplicaFamilies(t *testing.T) {
+	lsys, lts, _ := newDurableLeader(t, 24, 5)
+	fsys, rep := newFollower(t, lts.URL, t.TempDir())
+	waitForGeneration(t, fsys, lsys.SnapshotGeneration())
+	fsrv, err := New(Config{Sys: fsys, Replica: rep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fts := serve(t, fsrv)
+
+	durable := []string{
+		"# TYPE dnh_journal_lag_bytes gauge",
+		"# TYPE dnh_checkpoint_size_bytes gauge",
+		"# TYPE dnh_store_degraded gauge",
+	}
+	replica := []string{
+		"# TYPE dnh_replica_lag_generations gauge",
+		"# TYPE dnh_replica_lag_seconds gauge",
+		"# TYPE dnh_replica_applied_total counter",
+		"# TYPE dnh_replica_resyncs_total counter",
+		"# TYPE dnh_replica_connected gauge",
+	}
+	for _, c := range []struct {
+		name, url     string
+		want, notWant []string
+	}{
+		{"leader", lts.URL, durable, replica},
+		{"follower", fts.URL, append(durable, replica...), nil},
+	} {
+		_, _, body := get(t, c.url+"/metrics")
+		types := typeLines(string(body))
+		for _, line := range c.want {
+			if types[line] != 1 {
+				t.Errorf("%s: %q appears %d times, want once", c.name, line, types[line])
+			}
+		}
+		for _, line := range c.notWant {
+			if types[line] != 0 {
+				t.Errorf("%s: unexpected %q", c.name, line)
+			}
+		}
+	}
+}
+
+// TestServersDoNotShareTelemetry runs two servers over one System: a
+// forced trace on one must not show up in the other's exposition.
+func TestServersDoNotShareTelemetry(t *testing.T) {
+	sys, _, _ := newTestSystem(t, 24, 11)
+	_, tsA := newTestServer(t, sys, 8)
+	_, tsB := newTestServer(t, sys, 8)
+	if status, _, body := get(t, tsA.URL+"/search/text?q=with+temperature&debug=trace"); status != http.StatusOK {
+		t.Fatalf("traced search: %d %s", status, body)
+	}
+	_, _, a := get(t, tsA.URL+"/metrics")
+	_, _, b := get(t, tsB.URL+"/metrics")
+	for _, want := range []string{
+		`dnh_traces_total{mode="forced"} 1`,
+		`dnh_search_stage_duration_seconds_count{stage="parse"} 1`,
+	} {
+		if !strings.Contains(string(a), want+"\n") {
+			t.Errorf("server A missing %q", want)
+		}
+	}
+	for _, want := range []string{
+		`dnh_traces_total{mode="forced"} 0`,
+		`dnh_search_stage_duration_seconds_count{stage="parse"} 0`,
+	} {
+		if !strings.Contains(string(b), want+"\n") {
+			t.Errorf("server B missing %q: A's telemetry leaked", want)
+		}
 	}
 }
 

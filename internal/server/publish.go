@@ -42,7 +42,6 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	}
 	release, reason := s.adm.acquire(r.Context())
 	if reason != shedNone {
-		s.metrics.shed.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(s.adm.retryAfterSeconds()))
 		writeError(w, http.StatusTooManyRequests, "server overloaded ("+reason.String()+"), retry later")
 		return

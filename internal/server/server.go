@@ -219,7 +219,7 @@ func New(cfg Config) (*Server, error) {
 		// leaders, whatever the configuration says.
 		maxPublish = -1
 	}
-	return &Server{
+	s := &Server{
 		sys:     cfg.Sys,
 		cache:   newQueryCache(size),
 		metrics: newServeMetrics(endpointNames),
@@ -237,7 +237,9 @@ func New(cfg Config) (*Server, error) {
 		staleWindow:     cfg.StaleWindow,
 		revalSem:        make(chan struct{}, maxRevalidations),
 		curGen:          cfg.Sys.SnapshotGeneration(),
-	}, nil
+	}
+	s.registerCallbacks()
+	return s, nil
 }
 
 // maxRevalidations bounds concurrent background cache warms.
@@ -394,7 +396,6 @@ func (s *Server) admitSearch(w http.ResponseWriter, r *http.Request) (release fu
 	if reason == shedNone {
 		return release, true
 	}
-	s.metrics.shed.Add(1)
 	// Retry-After tracks the observed drain rate: backlog × mean
 	// service time / slots, not a hardcoded guess.
 	w.Header().Set("Retry-After", strconv.Itoa(s.adm.retryAfterSeconds()))
@@ -497,7 +498,7 @@ func (s *Server) handleSearchText(w http.ResponseWriter, r *http.Request) {
 	iq, err := search.ParseQuery(text)
 	tr.End(pid)
 	qo.ParseNs = time.Since(t0).Nanoseconds()
-	searchStageParse.ObserveSeconds(qo.ParseNs)
+	s.metrics.stageParse.ObserveSeconds(qo.ParseNs)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -537,7 +538,8 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 //  2. stale-while-revalidate — within StaleWindow of a publish, the
 //     previous generation's cached bytes are served immediately
 //     (X-Dnhd-Cache: stale, X-Dnhd-Generation labels the bytes) while
-//     one background flight warms the new generation's entry;
+//     one background flight warms the new generation's entry — unless
+//     the request's X-Min-Generation is newer than those bytes;
 //  3. singleflight — concurrent identical misses elect one leader to
 //     run the executor; followers get the leader's bytes verbatim
 //     (X-Dnhd-Cache: collapsed).
@@ -579,7 +581,11 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, req SearchR
 		s.noteSlow(start, key, gen, qo, true)
 		return
 	}
-	if prev, ok := s.staleSource(gen); ok {
+	// Stale bytes older than the client's X-Min-Generation would break
+	// read-your-writes; such a request waits for the fresh answer. An
+	// absent header parses as 0; a malformed one was refused at admission.
+	minGen, _ := strconv.ParseUint(r.Header.Get("X-Min-Generation"), 10, 64)
+	if prev, ok := s.staleSource(gen); ok && prev >= minGen {
 		if staleBody, ok := s.cache.Get(prev, key); ok {
 			s.metrics.staleServed.Add(1)
 			s.startRevalidate(gen, key, q)
@@ -672,7 +678,7 @@ func (s *Server) executeSearch(ctx context.Context, q metamess.Query, key string
 		}
 		s.metrics.searchesRun.Add(1)
 		if qo != nil {
-			observeStages(qo)
+			s.metrics.observeStages(qo)
 		}
 		if partial {
 			s.metrics.partials.Add(1)
@@ -1009,7 +1015,7 @@ func (s *Server) sampleSearchStats() SearchStats {
 	s.allocMu.Lock()
 	defer s.allocMu.Unlock()
 	runtime.ReadMemStats(&ms)
-	st.SearchesRun = s.metrics.searchesRun.Load()
+	st.SearchesRun = s.metrics.searchesRun.Value()
 	if ran := st.SearchesRun - s.lastSearches; ran > 0 && s.lastMallocs > 0 &&
 		st.SearchesRun >= s.lastSearches && ms.Mallocs >= s.lastMallocs && ms.TotalAlloc >= s.lastBytes {
 		st.AllocsPerSearch = float64(ms.Mallocs-s.lastMallocs) / float64(ran)
@@ -1070,13 +1076,13 @@ type OverloadStats struct {
 
 func (s *Server) overloadStats() OverloadStats {
 	st := OverloadStats{
-		Collapsed:      s.metrics.collapsed.Load(),
-		StaleServed:    s.metrics.staleServed.Load(),
-		Revalidations:  s.metrics.revalidations.Load(),
-		PartialResults: s.metrics.partials.Load(),
-		RateLimited:    s.metrics.ratelimitShed.Load(),
-		MinGenWaits:    s.metrics.minGenWaits.Load(),
-		MinGenStale:    s.metrics.minGenStale.Load(),
+		Collapsed:      s.metrics.collapsed.Value(),
+		StaleServed:    s.metrics.staleServed.Value(),
+		Revalidations:  s.metrics.revalidations.Value(),
+		PartialResults: s.metrics.partials.Value(),
+		RateLimited:    s.metrics.ratelimitShed.Value(),
+		MinGenWaits:    s.metrics.minGenWaits.Value(),
+		MinGenStale:    s.metrics.minGenStale.Value(),
 	}
 	if l := s.limiter; l != nil {
 		st.RateLimitPerSec = l.rate
@@ -1119,20 +1125,20 @@ type IngestStats struct {
 
 func (s *Server) ingestStats() IngestStats {
 	return IngestStats{
-		Publishes: s.metrics.publishes.Load(),
-		Stable:    s.metrics.publishStable.Load(),
-		Rejected:  s.metrics.publishRejected.Load(),
-		Features:  s.metrics.publishFeaturesN.Load(),
+		Publishes: s.metrics.publishes.Value(),
+		Stable:    s.metrics.publishStable.Value(),
+		Rejected:  s.metrics.publishRejected.Value(),
+		Features:  s.metrics.publishFeaturesN.Value(),
 	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	hits, misses := s.metrics.cacheHits.Load(), s.metrics.cacheMiss.Load()
+	hits, misses := s.metrics.cacheHits.Value(), s.metrics.cacheMiss.Value()
 	cache := CacheStats{
 		Hits:    hits,
 		Misses:  misses,
 		Entries: s.cache.Len(),
-		Stale:   s.metrics.staleServed.Load(),
+		Stale:   s.metrics.staleServed.Value(),
 	}
 	if hits+misses > 0 {
 		cache.HitRate = float64(hits) / float64(hits+misses)
@@ -1142,7 +1148,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		UptimeSec:  time.Since(s.metrics.start).Seconds(),
 		Datasets:   s.sys.DatasetCount(),
 		Generation: s.sys.SnapshotGeneration(),
-		InFlight:   s.metrics.inFlight.Load(),
+		InFlight:   s.metrics.inFlight.Value(),
 		Shards:     ShardStats{Count: len(sizes), Sizes: sizes},
 		Endpoints:  s.metrics.snapshotEndpoints(),
 		Cache:      cache,

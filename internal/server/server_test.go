@@ -335,7 +335,7 @@ func TestCacheSurvivesNoopRewrangle(t *testing.T) {
 		t.Fatalf("no-op re-wrangle moved the generation: %d -> %d", gen, got)
 	}
 
-	hitsBefore := srv.metrics.cacheHits.Load()
+	hitsBefore := srv.metrics.cacheHits.Value()
 	status, h, b2 := get(t, ts.URL+q)
 	if status != 200 || h.Get("X-Dnhd-Cache") != "hit" {
 		t.Fatalf("post-rewrangle: %d cache=%q — the no-op publish evicted the cache", status, h.Get("X-Dnhd-Cache"))
@@ -343,7 +343,7 @@ func TestCacheSurvivesNoopRewrangle(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("cached response changed across a no-op re-wrangle")
 	}
-	if srv.metrics.cacheHits.Load() != hitsBefore+1 {
+	if srv.metrics.cacheHits.Value() != hitsBefore+1 {
 		t.Fatal("hit counter did not advance")
 	}
 }

@@ -151,12 +151,3 @@ func (s *System) BootstrapFromCheckpoint(r io.Reader) (uint64, error) {
 	}
 	return gen, nil
 }
-
-// DurableGeneration returns the last durable publish generation (0 when
-// the system is not durable) — the resume point a follower tails from.
-func (s *System) DurableGeneration() uint64 {
-	if s.store == nil {
-		return 0
-	}
-	return s.store.Generation()
-}
