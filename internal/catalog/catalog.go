@@ -10,18 +10,14 @@ import (
 	"metamess/internal/table"
 )
 
-// Catalog is an in-memory feature store with secondary indexes. It is
-// safe for concurrent use; wrangling writes take the exclusive lock,
-// while search reads go through an immutable published Snapshot swapped
-// in atomically, so the read path takes no locks at all.
+// Catalog is an in-memory feature store. It is safe for concurrent use;
+// wrangling writes take the exclusive lock, while search reads go
+// through an immutable published Snapshot swapped in atomically, so the
+// read path takes no locks at all. The snapshot carries the only
+// indexes: the mutable store keeps none.
 type Catalog struct {
 	mu       sync.RWMutex
 	features map[string]*Feature
-	// byName indexes dataset IDs by current searchable variable name;
-	// byParent indexes them by the hierarchy parent of searchable
-	// variables, so querying a parent concept can use the index too.
-	byName   map[string]map[string]bool
-	byParent map[string]map[string]bool
 	// generation counts mutations, letting long-running searchers detect
 	// that a published catalog replaced this one.
 	generation uint64
@@ -49,8 +45,6 @@ func NewSharded(shards int) *Catalog {
 	}
 	return &Catalog{
 		features: make(map[string]*Feature),
-		byName:   make(map[string]map[string]bool),
-		byParent: make(map[string]map[string]bool),
 		shards:   shards,
 	}
 }
@@ -75,26 +69,11 @@ func (c *Catalog) Generation() uint64 {
 // Upsert validates and stores a feature, replacing any previous feature
 // with the same ID. The catalog stores a private clone, so callers may
 // keep mutating their copy.
-func (c *Catalog) Upsert(f *Feature) error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	clone := f.Clone()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if old, ok := c.features[clone.ID]; ok {
-		c.unindexLocked(old)
-	}
-	c.features[clone.ID] = clone
-	c.indexLocked(clone)
-	c.generation++
-	c.snap.Store(nil)
-	return nil
-}
+func (c *Catalog) Upsert(f *Feature) error { return c.upsertOwned(f.Clone()) }
 
 // upsertOwned is Upsert for callers that hand over ownership of a
 // freshly built feature (checkpoint and journal recovery): the feature
-// is validated and indexed but not cloned, so a 2000-feature replay
+// is validated and stored but not cloned, so a 2000-feature replay
 // does not pay a second copy of every feature it just decoded.
 func (c *Catalog) upsertOwned(f *Feature) error {
 	if err := f.Validate(); err != nil {
@@ -102,11 +81,7 @@ func (c *Catalog) upsertOwned(f *Feature) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.features[f.ID]; ok {
-		c.unindexLocked(old)
-	}
 	c.features[f.ID] = f
-	c.indexLocked(f)
 	c.generation++
 	c.snap.Store(nil)
 	return nil
@@ -145,11 +120,9 @@ func (c *Catalog) Get(id string) (*Feature, bool) {
 func (c *Catalog) Delete(id string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	f, ok := c.features[id]
-	if !ok {
+	if _, ok := c.features[id]; !ok {
 		return false
 	}
-	c.unindexLocked(f)
 	delete(c.features, id)
 	c.generation++
 	c.snap.Store(nil)
@@ -184,34 +157,6 @@ func (c *Catalog) IDs() []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// DatasetsWithVariable returns the IDs of datasets whose searchable
-// variables include name, sorted.
-func (c *Catalog) DatasetsWithVariable(name string) []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	set := c.byName[name]
-	out := make([]string, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// DatasetsWithParent returns the IDs of datasets having a searchable
-// variable whose hierarchy parent is name, sorted.
-func (c *Catalog) DatasetsWithParent(name string) []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	set := c.byParent[name]
-	out := make([]string, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // VariableNameCounts tallies every *current* variable name (including
@@ -252,7 +197,7 @@ func (c *Catalog) DistinctVariableNames() []string {
 
 // MutateVariables applies fn to every feature's variable list under the
 // write lock; fn returns true if it changed the variables. The method
-// reindexes changed features and returns how many features changed.
+// returns how many features changed.
 // This is the hook the wrangling chain uses to write transformation
 // results back from the working grid into the catalog.
 func (c *Catalog) MutateVariables(fn func(f *Feature) bool) int {
@@ -260,11 +205,9 @@ func (c *Catalog) MutateVariables(fn func(f *Feature) bool) int {
 	defer c.mu.Unlock()
 	changed := 0
 	for _, f := range c.features {
-		c.unindexLocked(f)
 		if fn(f) {
 			changed++
 		}
-		c.indexLocked(f)
 	}
 	if changed > 0 {
 		c.generation++
@@ -276,23 +219,17 @@ func (c *Catalog) MutateVariables(fn func(f *Feature) bool) int {
 }
 
 // MutateVariablesOf is MutateVariables restricted to the given feature
-// IDs (absent IDs are ignored): the delta write path, which touches and
-// reindexes only the features a re-wrangle actually changed instead of
-// walking the whole catalog.
+// IDs (absent IDs are ignored): the delta write path, which touches
+// only the features a re-wrangle actually changed instead of walking
+// the whole catalog.
 func (c *Catalog) MutateVariablesOf(ids []string, fn func(f *Feature) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	changed := 0
 	for _, id := range ids {
-		f, ok := c.features[id]
-		if !ok {
-			continue
-		}
-		c.unindexLocked(f)
-		if fn(f) {
+		if f, ok := c.features[id]; ok && fn(f) {
 			changed++
 		}
-		c.indexLocked(f)
 	}
 	if len(ids) > 0 {
 		if changed > 0 {
@@ -320,7 +257,7 @@ func (c *Catalog) StatView(id string) (bytes int64, modTime, scannedAt time.Time
 }
 
 // SetScanStamp updates a feature's ScannedAt bookkeeping in place (no
-// clone, no reindex, no generation bump — ScannedAt is not dataset
+// clone, no generation bump — ScannedAt is not dataset
 // content). The scanner calls it after verifying an unchanged file by
 // content hash, so the file's stat fingerprint is trusted on the next
 // run instead of being re-hashed forever.
@@ -354,9 +291,7 @@ func (c *Catalog) Clone() *Catalog {
 	defer c.mu.RUnlock()
 	n := New()
 	for id, f := range c.features {
-		clone := f.Clone()
-		n.features[id] = clone
-		n.indexLocked(clone)
+		n.features[id] = f.Clone()
 	}
 	n.generation = c.generation
 	return n
@@ -405,9 +340,29 @@ func (c *Catalog) DiffTo(next *Catalog) (changed []*Feature, removed []string) {
 // in private clones (DiffTo does) and not touch them afterwards. It
 // reports whether the catalog changed.
 func (c *Catalog) ApplyDelta(changed []*Feature, removed []string) (bool, error) {
-	if len(changed) == 0 && len(removed) == 0 {
-		return false, nil
-	}
+	return c.applyDelta(false, 0, changed, removed)
+}
+
+// ApplyDeltaAt is ApplyDelta for the replication apply path: instead of
+// advancing the generation by one it pins the catalog to gen — the
+// stamp the leader journaled for this delta — so a follower serves the
+// exact generation numbers its leader published and generation-keyed
+// caches agree across the fleet. gen must be ahead of the catalog's
+// current generation. Unlike ApplyDelta, a delta that resolves to
+// nothing still advances the generation: the follower must reach the
+// leader's stamp even when (idempotent re-delivery, deletes of absent
+// IDs) there is no content to change. Takes ownership of the passed
+// features, like ApplyDelta.
+func (c *Catalog) ApplyDeltaAt(gen uint64, changed []*Feature, removed []string) error {
+	_, err := c.applyDelta(true, gen, changed, removed)
+	return err
+}
+
+// applyDelta is the body of ApplyDelta (pinned=false: advance the
+// generation by one, and leave everything alone when the resolved delta
+// is empty) and ApplyDeltaAt (pinned: move to gen, which must be ahead
+// of the current generation, even when the delta resolves to nothing).
+func (c *Catalog) applyDelta(pinned bool, gen uint64, changed []*Feature, removed []string) (bool, error) {
 	for _, f := range changed {
 		if err := f.Validate(); err != nil {
 			return false, err
@@ -420,7 +375,9 @@ func (c *Catalog) ApplyDelta(changed []*Feature, removed []string) (bool, error)
 	sort.Slice(changed, func(i, j int) bool { return changed[i].ID < changed[j].ID })
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	prev := c.snap.Load()
+	if pinned && gen <= c.generation {
+		return false, fmt.Errorf("catalog: replicated generation %d not ahead of catalog generation %d", gen, c.generation)
+	}
 	changedIDs := make(map[string]bool, len(changed))
 	for _, f := range changed {
 		changedIDs[f.ID] = true
@@ -435,95 +392,32 @@ func (c *Catalog) ApplyDelta(changed []*Feature, removed []string) (bool, error)
 		}
 		removedSet[id] = true
 	}
-	if len(changed) == 0 && len(removedSet) == 0 {
-		return false, nil
+	if !pinned {
+		if len(changed) == 0 && len(removedSet) == 0 {
+			return false, nil
+		}
+		gen = c.generation + 1
 	}
 	for id := range removedSet {
-		f := c.features[id]
-		c.unindexLocked(f)
 		delete(c.features, id)
 	}
 	for _, f := range changed {
-		if old, ok := c.features[f.ID]; ok {
-			c.unindexLocked(old)
-		}
 		// The map gets its own clone; the snapshot keeps the caller's
 		// instance, so later in-place mutations of the map copy (e.g.
 		// MutateVariables) can never reach the published snapshot.
-		clone := f.Clone()
-		c.features[f.ID] = clone
-		c.indexLocked(clone)
+		c.features[f.ID] = f.Clone()
 	}
-	c.generation++
+	c.generation = gen
 	// Patch the previous snapshot when the delta is small relative to
 	// the catalog; fall back to a full rebuild when there is no live
 	// snapshot or the delta dominates (a patch would do more merge work
 	// than building afresh).
-	if prev != nil && len(changed)+len(removedSet) <= len(c.features)/2+1 {
-		c.snap.Store(prev.applyDelta(changed, removedSet, c.generation))
+	if prev := c.snap.Load(); prev != nil && len(changed)+len(removedSet) <= len(c.features)/2+1 {
+		c.snap.Store(prev.applyDelta(changed, removedSet, gen))
 	} else {
-		c.snap.Store(newSnapshot(c.features, c.generation, c.shards))
+		c.snap.Store(newSnapshot(c.features, gen, c.shards))
 	}
 	return true, nil
-}
-
-// ApplyDeltaAt is ApplyDelta for the replication apply path: instead of
-// advancing the generation by one it pins the catalog to gen — the
-// stamp the leader journaled for this delta — so a follower serves the
-// exact generation numbers its leader published and generation-keyed
-// caches agree across the fleet. gen must be ahead of the catalog's
-// current generation. Unlike ApplyDelta, a delta that resolves to
-// nothing still advances the generation: the follower must reach the
-// leader's stamp even when (idempotent re-delivery, deletes of absent
-// IDs) there is no content to change. Takes ownership of the passed
-// features, like ApplyDelta.
-func (c *Catalog) ApplyDeltaAt(gen uint64, changed []*Feature, removed []string) error {
-	for _, f := range changed {
-		if err := f.Validate(); err != nil {
-			return err
-		}
-	}
-	sort.Slice(changed, func(i, j int) bool { return changed[i].ID < changed[j].ID })
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen <= c.generation {
-		return fmt.Errorf("catalog: replicated generation %d not ahead of catalog generation %d", gen, c.generation)
-	}
-	prev := c.snap.Load()
-	changedIDs := make(map[string]bool, len(changed))
-	for _, f := range changed {
-		changedIDs[f.ID] = true
-	}
-	removedSet := make(map[string]bool, len(removed))
-	for _, id := range removed {
-		if _, ok := c.features[id]; !ok {
-			continue
-		}
-		if changedIDs[id] {
-			continue
-		}
-		removedSet[id] = true
-	}
-	for id := range removedSet {
-		f := c.features[id]
-		c.unindexLocked(f)
-		delete(c.features, id)
-	}
-	for _, f := range changed {
-		if old, ok := c.features[f.ID]; ok {
-			c.unindexLocked(old)
-		}
-		clone := f.Clone()
-		c.features[f.ID] = clone
-		c.indexLocked(clone)
-	}
-	c.generation = gen
-	if prev != nil && len(changed)+len(removedSet) <= len(c.features)/2+1 {
-		c.snap.Store(prev.applyDelta(changed, removedSet, c.generation))
-	} else {
-		c.snap.Store(newSnapshot(c.features, c.generation, c.shards))
-	}
-	return nil
 }
 
 // ReplaceAll swaps this catalog's contents for those of other — the
@@ -537,8 +431,6 @@ func (c *Catalog) ReplaceAll(other *Catalog) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.features = clone.features
-	c.byName = clone.byName
-	c.byParent = clone.byParent
 	c.generation++
 	c.snap.Store(newSnapshot(c.features, c.generation, c.shards))
 }
@@ -552,8 +444,6 @@ func (c *Catalog) SeedFrom(other *Catalog) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.features = clone.features
-	c.byName = clone.byName
-	c.byParent = clone.byParent
 	c.generation++
 	c.snap.Store(nil)
 }
@@ -650,9 +540,8 @@ func (c *Catalog) ApplyTable(t *table.Table) (int, error) {
 	}
 	sort.Strings(ids)
 	missing := ""
-	// Only the datasets present in the grid are touched and reindexed —
-	// a delta grid from ToTableOf writes back in time proportional to
-	// its own size.
+	// Only the datasets present in the grid are touched — a delta grid
+	// from ToTableOf writes back in time proportional to its own size.
 	changed := c.MutateVariablesOf(ids, func(f *Feature) bool {
 		r, ok := byDataset[f.ID]
 		if !ok {
@@ -676,48 +565,4 @@ func (c *Catalog) ApplyTable(t *table.Table) (int, error) {
 		return changed, fmt.Errorf("%s", missing)
 	}
 	return changed, nil
-}
-
-// indexLocked adds f to the secondary indexes; callers hold the lock.
-func (c *Catalog) indexLocked(f *Feature) {
-	for _, name := range f.SearchableNames() {
-		set := c.byName[name]
-		if set == nil {
-			set = make(map[string]bool)
-			c.byName[name] = set
-		}
-		set[f.ID] = true
-	}
-	for _, v := range f.Variables {
-		if v.Excluded || v.Parent == "" {
-			continue
-		}
-		set := c.byParent[v.Parent]
-		if set == nil {
-			set = make(map[string]bool)
-			c.byParent[v.Parent] = set
-		}
-		set[f.ID] = true
-	}
-}
-
-// unindexLocked removes f from the secondary indexes.
-func (c *Catalog) unindexLocked(f *Feature) {
-	for _, name := range f.SearchableNames() {
-		set := c.byName[name]
-		delete(set, f.ID)
-		if len(set) == 0 {
-			delete(c.byName, name)
-		}
-	}
-	for _, v := range f.Variables {
-		if v.Excluded || v.Parent == "" {
-			continue
-		}
-		set := c.byParent[v.Parent]
-		delete(set, f.ID)
-		if len(set) == 0 {
-			delete(c.byParent, v.Parent)
-		}
-	}
 }

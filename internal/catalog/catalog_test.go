@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -29,6 +30,20 @@ func feat(path string, vars ...string) *Feature {
 		})
 	}
 	return f
+}
+
+// postedIDs returns the sorted IDs of the datasets a snapshot posts
+// under name, gathering the positions list (withVariable or withParent)
+// yields in every shard.
+func postedIDs(s *Snapshot, list func(*Shard, string) []int32, name string) []string {
+	var ids []string
+	for _, sh := range s.Shards() {
+		for _, pos := range list(sh, name) {
+			ids = append(ids, sh.At(pos).ID)
+		}
+	}
+	sort.Strings(ids)
+	return ids
 }
 
 func TestUpsertGetDelete(t *testing.T) {
@@ -93,10 +108,10 @@ func TestUpsertReplacesAndReindexes(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())
 	}
-	if ids := c.DatasetsWithVariable("old_name"); len(ids) != 0 {
+	if ids := postedIDs(c.Snapshot(), withVariable, "old_name"); len(ids) != 0 {
 		t.Errorf("old index entry survived: %v", ids)
 	}
-	if ids := c.DatasetsWithVariable("new_name"); len(ids) != 1 {
+	if ids := postedIDs(c.Snapshot(), withVariable, "new_name"); len(ids) != 1 {
 		t.Errorf("new index entry missing: %v", ids)
 	}
 }
@@ -104,17 +119,25 @@ func TestUpsertReplacesAndReindexes(t *testing.T) {
 func TestIndexExcludesExcludedVariables(t *testing.T) {
 	c := New()
 	f := feat("a.csv", "salinity")
+	f.Variables[0].Parent = "water_property"
 	f.Variables = append(f.Variables, VarFeature{
-		RawName: "qa_level", Name: "qa_level", Excluded: true, Count: 10,
+		RawName: "qa_level", Name: "qa_level", Parent: "quality", Excluded: true, Count: 10,
 	})
 	if err := c.Upsert(f); err != nil {
 		t.Fatal(err)
 	}
-	if ids := c.DatasetsWithVariable("qa_level"); len(ids) != 0 {
+	snap := c.Snapshot()
+	if ids := postedIDs(snap, withVariable, "qa_level"); len(ids) != 0 {
 		t.Errorf("excluded variable indexed: %v", ids)
 	}
-	if ids := c.DatasetsWithVariable("salinity"); len(ids) != 1 {
+	if ids := postedIDs(snap, withParent, "quality"); len(ids) != 0 {
+		t.Errorf("excluded variable's parent indexed: %v", ids)
+	}
+	if ids := postedIDs(snap, withVariable, "salinity"); len(ids) != 1 {
 		t.Errorf("searchable variable missing: %v", ids)
+	}
+	if ids := postedIDs(snap, withParent, "water_property"); len(ids) != 1 {
+		t.Errorf("searchable variable's parent missing: %v", ids)
 	}
 	// But the variable remains in the detailed feature view.
 	got, _ := c.Get(f.ID)
@@ -179,10 +202,10 @@ func TestMutateVariables(t *testing.T) {
 	if c.Generation() == gen {
 		t.Error("generation not bumped")
 	}
-	if ids := c.DatasetsWithVariable("air_temperature"); len(ids) != 1 {
+	if ids := postedIDs(c.Snapshot(), withVariable, "air_temperature"); len(ids) != 1 {
 		t.Errorf("index not updated: %v", ids)
 	}
-	if ids := c.DatasetsWithVariable("airtemp"); len(ids) != 0 {
+	if ids := postedIDs(c.Snapshot(), withVariable, "airtemp"); len(ids) != 0 {
 		t.Errorf("stale index: %v", ids)
 	}
 }
@@ -197,10 +220,10 @@ func TestCloneAndReplaceAll(t *testing.T) {
 	if published.Len() != 1 {
 		t.Fatalf("published Len = %d", published.Len())
 	}
-	if ids := published.DatasetsWithVariable("salinity"); len(ids) != 1 {
+	if ids := postedIDs(published.Snapshot(), withVariable, "salinity"); len(ids) != 1 {
 		t.Error("published index missing")
 	}
-	if ids := published.DatasetsWithVariable("oldvar"); len(ids) != 0 {
+	if ids := postedIDs(published.Snapshot(), withVariable, "oldvar"); len(ids) != 0 {
 		t.Error("stale published entry")
 	}
 	// Publishing is a snapshot: later working changes do not leak.
@@ -208,7 +231,7 @@ func TestCloneAndReplaceAll(t *testing.T) {
 		f.Variables[0].Name = "renamed"
 		return true
 	})
-	if ids := published.DatasetsWithVariable("renamed"); len(ids) != 0 {
+	if ids := postedIDs(published.Snapshot(), withVariable, "renamed"); len(ids) != 0 {
 		t.Error("working mutation leaked into published catalog")
 	}
 }
@@ -235,7 +258,7 @@ func TestToTableApplyTableRoundTrip(t *testing.T) {
 	if changed != 2 {
 		t.Errorf("changed = %d, want 2", changed)
 	}
-	if ids := c.DatasetsWithVariable("air_temperature"); len(ids) != 2 {
+	if ids := postedIDs(c.Snapshot(), withVariable, "air_temperature"); len(ids) != 2 {
 		t.Errorf("renamed variable index = %v", ids)
 	}
 	// RawName preserved for provenance.

@@ -2,14 +2,15 @@ package catalog
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
 
 // TestConcurrentReadersAndWriters hammers the catalog from parallel
-// goroutines: upserts, deletes, index queries, table extraction, and
-// publishes, verifying no data race (run under -race) and that the final
-// state is consistent.
+// goroutines: upserts, deletes, snapshot index queries, and table
+// extraction, verifying no data race (run under -race) and that the
+// final snapshot index agrees with the store.
 func TestConcurrentReadersAndWriters(t *testing.T) {
 	c := New()
 	for i := 0; i < 50; i++ {
@@ -30,8 +31,9 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 				case 1:
 					c.Delete(IDForPath(fmt.Sprintf("w%d-%03d.csv", w, i-1)))
 				case 2:
-					_ = c.DatasetsWithVariable("salinity")
-					_ = c.DatasetsWithParent("fluorescence")
+					snap := c.Snapshot()
+					_ = postedIDs(snap, withVariable, "salinity")
+					_ = postedIDs(snap, withParent, "fluorescence")
 				case 3:
 					if f, ok := c.Get(IDForPath("seed-00.csv")); ok && f.Path != "seed-00.csv" {
 						t.Error("corrupted read")
@@ -58,11 +60,16 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			t.Fatalf("seed feature %d corrupted: %d variables", i, len(f.Variables))
 		}
 	}
-	// Index and store agree.
-	for _, id := range c.DatasetsWithVariable("salinity") {
-		if _, ok := c.Get(id); !ok {
-			t.Errorf("index points at missing feature %s", id)
+	// The snapshot index and the store agree: exactly the stored
+	// features with a searchable salinity are posted under it.
+	var want []string
+	for _, f := range c.All() {
+		if _, ok := f.Variable("salinity"); ok {
+			want = append(want, f.ID)
 		}
+	}
+	if got := postedIDs(c.Snapshot(), withVariable, "salinity"); !reflect.DeepEqual(got, want) {
+		t.Errorf("snapshot index lists %d salinity datasets, store holds %d", len(got), len(want))
 	}
 }
 
@@ -97,13 +104,13 @@ func TestConcurrentPublishAndSearchReads(t *testing.T) {
 					return
 				default:
 				}
-				ids := published.DatasetsWithVariable("salinity")
-				for _, id := range ids {
-					// A feature listed by the index may legitimately vanish
-					// between calls (publish swapped); it must never be
-					// returned in a corrupted state.
-					if f, ok := published.Get(id); ok && len(f.Variables) == 0 {
-						t.Error("corrupted feature during publish")
+				// One snapshot is one consistent view: every dataset its
+				// index lists resolves in that same snapshot, however
+				// many publishes land meanwhile.
+				snap := published.Snapshot()
+				for _, id := range postedIDs(snap, withVariable, "salinity") {
+					if f, ok := snap.ByID(id); !ok || len(f.Variables) == 0 {
+						t.Error("snapshot index disagrees with its features during publish")
 						return
 					}
 				}

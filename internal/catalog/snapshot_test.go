@@ -270,6 +270,16 @@ func withVariable(sh *Shard, name string) []int32 {
 	return sh.VariablePostings(id).AppendTo(nil)
 }
 
+// withParent lists a shard's positions of the features carrying a
+// searchable variable whose hierarchy parent is name.
+func withParent(sh *Shard, name string) []int32 {
+	id, ok := sh.ParentID(name)
+	if !ok {
+		return nil
+	}
+	return sh.ParentPostings(id).AppendTo(nil)
+}
+
 // countWithVariable sums the name's posting sizes across every shard.
 func countWithVariable(s *Snapshot, name string) int {
 	n := 0

@@ -264,8 +264,8 @@ func (q *QueryObs) Tracer() (*Trace, int32) {
 	return q.Trace, q.Root
 }
 
-// ResetStages zeroes the stage counters (per search attempt; the
-// serving layer retries generation races). Nil-safe.
+// ResetStages zeroes the stage counters, as PutQueryObs does before
+// recycling a footprint. Nil-safe.
 func (q *QueryObs) ResetStages() {
 	if q == nil {
 		return

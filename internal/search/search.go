@@ -159,7 +159,10 @@ type Result struct {
 
 // Searcher ranks catalog features against queries. Every query runs
 // over the catalog's current immutable snapshot: one atomic pointer
-// load, no locks, and no feature copies on the read path.
+// load, no locks, and no feature copies on the read path. That snapshot
+// is the query's only read view — its indexes plan the candidates, its
+// features are scored, and its generation is the one
+// SearchPartialContext reports.
 type Searcher struct {
 	cat  *catalog.Catalog
 	opts Options
@@ -212,7 +215,7 @@ func (s *Searcher) Search(q Query) ([]Result, error) {
 // one, the whole observability surface collapses to a single context
 // lookup and nil checks; rankings are identical either way.
 func (s *Searcher) SearchContext(ctx context.Context, q Query) ([]Result, error) {
-	results, err := s.searchCtx(ctx, q, false)
+	results, _, err := s.searchCtx(ctx, q, false)
 	if err != nil {
 		return nil, err
 	}
@@ -231,24 +234,31 @@ func (s *Searcher) SearchContext(ctx context.Context, q Query) ([]Result, error)
 // rankings are exact over the candidates that were scored, but tiers
 // the deadline cut off may hold better-scoring datasets; only
 // partial=false results carry the executor's exactness guarantee.
-func (s *Searcher) SearchPartialContext(ctx context.Context, q Query) (results []Result, partial bool, err error) {
-	results, err = s.searchCtx(ctx, q, true)
+//
+// gen is the generation of the snapshot the query read, set on every
+// return (a rejected query was checked against that snapshot too): the
+// exact label for caching the response, with no re-read of the catalog
+// that a concurrent publish could race.
+func (s *Searcher) SearchPartialContext(ctx context.Context, q Query) (results []Result, gen uint64, partial bool, err error) {
+	results, gen, err = s.searchCtx(ctx, q, true)
 	if err != nil {
-		return nil, false, err
+		return nil, gen, false, err
 	}
-	return results, ctx.Err() != nil, nil
+	return results, gen, ctx.Err() != nil, nil
 }
 
-// searchCtx is the shared search body. With partialOK, a context that
-// ends mid-search stops the scatter early and the gathered results are
-// still explained and returned; without it the caller discards them
-// (preserving SearchContext's error contract).
-func (s *Searcher) searchCtx(ctx context.Context, q Query, partialOK bool) ([]Result, error) {
+// searchCtx is the shared search body; it returns the generation of the
+// one snapshot it read. With partialOK, a context that ends mid-search
+// stops the scatter early and the gathered results are still explained
+// and returned; without it the caller discards them (preserving
+// SearchContext's error contract).
+func (s *Searcher) searchCtx(ctx context.Context, q Query, partialOK bool) ([]Result, uint64, error) {
+	snap := s.cat.Snapshot()
 	if err := q.Validate(); err != nil {
-		return nil, err
+		return nil, snap.Generation(), err
 	}
 	if err := ctx.Err(); err != nil && !partialOK {
-		return nil, err
+		return nil, snap.Generation(), err
 	}
 	k := q.K
 	if k <= 0 {
@@ -268,7 +278,6 @@ func (s *Searcher) searchCtx(ctx context.Context, q Query, partialOK bool) ([]Re
 		// Term expansion is query preparation; fold it into plan time.
 		qo.PlanNs += time.Since(t0).Nanoseconds()
 	}
-	snap := s.cat.Snapshot()
 
 	results := s.searchSnapshot(ctx, snap, q, expanded, k, qo)
 	// Explain pass: per-term score breakdowns are recomputed for the ≤K
@@ -294,7 +303,7 @@ func (s *Searcher) searchCtx(ctx context.Context, q Query, partialOK bool) ([]Re
 			qo.ExplainNs += time.Since(t0).Nanoseconds()
 		}
 	}
-	return results, nil
+	return results, snap.Generation(), nil
 }
 
 func rank(results []Result) {

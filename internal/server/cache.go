@@ -9,10 +9,12 @@ import (
 // bodies, keyed by (snapshot generation, normalized query). Keying by
 // generation is the whole invalidation story: a publish bumps the
 // generation, so every request after it computes a different key and
-// misses — no clearing, no coordination with the wrangler, and searches
-// racing the publish still serve internally-consistent bodies cached
-// under the generation they actually read. Entries for dead generations
-// are never hit again and age out through normal LRU eviction.
+// misses — no clearing, no coordination with the wrangler. A body is
+// stored under the generation of the snapshot its search ranked (the
+// one SearchPartialContext reports), so a search racing a publish
+// caches under the generation it actually read. Entries for dead
+// generations are never hit again and age out through normal LRU
+// eviction.
 type queryCache struct {
 	mu      sync.Mutex
 	cap     int

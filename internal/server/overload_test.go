@@ -362,18 +362,22 @@ func TestDeadlinePartial(t *testing.T) {
 }
 
 // TestSearchPartialContextCanceled checks the library-level contract:
-// an expired context yields partial results and no error.
+// an expired context yields partial results, labeled with the searched
+// snapshot's generation, and no error.
 func TestSearchPartialContextCanceled(t *testing.T) {
 	sys, _, _ := newTestSystem(t, 24, 7)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	hits, partial, err := sys.SearchPartialContext(ctx,
+	hits, gen, partial, err := sys.SearchPartialContext(ctx,
 		metamess.Query{Variables: []metamess.VariableTerm{{Name: "temperature"}}, K: 5})
 	if err != nil {
 		t.Fatalf("SearchPartialContext: %v", err)
 	}
 	if !partial {
 		t.Error("canceled context: partial = false, want true")
+	}
+	if want := sys.SnapshotGeneration(); gen != want {
+		t.Errorf("generation = %d, want the published %d", gen, want)
 	}
 	_ = hits // whatever was gathered before the cancel is valid
 }

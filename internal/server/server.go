@@ -622,8 +622,7 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, req SearchR
 		// working: answer with an empty partial rather than holding the
 		// connection for bytes the client no longer has time for.
 		s.metrics.partials.Add(1)
-		out := partialOutcome(gen, nil)
-		s.serveOutcome(w, out, "timeout")
+		s.serveOutcome(w, renderOutcome(SearchResponse{Generation: gen, Partial: true}, "timeout"), "timeout")
 	}
 	s.noteSlow(start, key, gen, qo, false)
 }
@@ -638,97 +637,58 @@ func (s *Server) serveOutcome(w http.ResponseWriter, out searchOutcome, cacheSta
 	writeJSONBytes(w, out.status, out.body)
 }
 
-// partialOutcome renders an empty partial response labeled with gen.
-func partialOutcome(gen uint64, hits []metamess.Hit) searchOutcome {
-	body, err := json.Marshal(SearchResponse{Generation: gen, Count: len(hits), Hits: hits, Partial: true})
+// renderOutcome marshals a search response into the outcome written to
+// the wire, labeled with the response's generation. Every SearchResponse
+// body is built here.
+func renderOutcome(resp SearchResponse, cacheState string) searchOutcome {
+	body, err := json.Marshal(resp)
 	if err != nil {
-		return searchOutcome{status: http.StatusInternalServerError, body: []byte(`{"error":"marshal failed"}`), generation: gen}
+		return searchOutcome{status: http.StatusInternalServerError, body: []byte(`{"error":"marshal failed"}`), generation: resp.Generation}
 	}
-	return searchOutcome{status: http.StatusOK, body: body, cacheState: "miss", partial: true, generation: gen}
+	return searchOutcome{status: http.StatusOK, body: body, cacheState: cacheState, partial: resp.Partial, generation: resp.Generation}
 }
 
-// executeSearch runs the executor with the generation-race retry loop
-// and renders the outcome. The generation is read before the search and
-// re-checked after: if a publish landed in between, the attempt is
-// retried (so the response's generation label is exact and a cache
-// entry keyed G never holds data from a later snapshot); with publishes
-// landing faster than searches finish, the last attempt is served
-// unlabeled-safe — generation 0 — and uncached. A deadline that expires
-// mid-scatter yields the results gathered so far with Partial: true,
-// HTTP 200, never cached. qo may be nil (background revalidation).
+// executeSearch runs the executor once and renders the outcome, labeled
+// with the generation of the snapshot the search ranked — exact even when
+// a publish lands mid-search, so a cache entry keyed G only ever holds
+// data from snapshot G. A deadline that expires mid-scatter yields the
+// results gathered so far with Partial: true, HTTP 200, never cached;
+// forced-trace bodies carry the span tree and are never cached either.
+// qo may be nil (background revalidation).
 func (s *Server) executeSearch(ctx context.Context, q metamess.Query, key string, qo *obs.QueryObs) searchOutcome {
-	tr, root := qo.Tracer()
-	forced := qo != nil && qo.Forced
-	var lastBody []byte
-	for attempt := 0; attempt < 3; attempt++ {
-		gen := s.sys.SnapshotGeneration()
-		// A generation-race retry re-runs the executor; zero the stage
-		// counters so histograms and the slow log see the attempt that
-		// produced the response, not a sum across attempts.
-		if attempt > 0 {
-			qo.ResetStages()
-		}
-		hits, partial, err := s.sys.SearchPartialContext(ctx, q)
-		if err != nil {
-			body, merr := json.Marshal(map[string]string{"error": err.Error()})
-			if merr != nil {
-				body = []byte(`{"error":"bad query"}`)
-			}
-			return searchOutcome{status: http.StatusBadRequest, body: body, cacheState: "miss", generation: gen}
-		}
-		s.metrics.searchesRun.Add(1)
-		if qo != nil {
-			s.metrics.observeStages(qo)
-		}
-		if partial {
-			s.metrics.partials.Add(1)
-			resp := SearchResponse{Generation: gen, Count: len(hits), Hits: hits, Partial: true}
-			if forced {
-				tr.Attr(root, "generation", int64(gen))
-				tr.End(root)
-				resp.Trace = tr.Tree()
-			}
-			body, merr := json.Marshal(resp)
-			if merr != nil {
-				return searchOutcome{status: http.StatusInternalServerError, body: []byte(`{"error":"marshal failed"}`), generation: gen}
-			}
-			state := "miss"
-			if forced {
-				state = "bypass"
-			}
-			return searchOutcome{status: http.StatusOK, body: body, cacheState: state, partial: true, generation: gen}
-		}
-		if s.sys.SnapshotGeneration() != gen {
-			// A publish raced the search; the snapshot it used is
-			// ambiguous. Retry against the fresh generation.
-			var merr error
-			if lastBody, merr = json.Marshal(SearchResponse{Count: len(hits), Hits: hits}); merr != nil {
-				return searchOutcome{status: http.StatusInternalServerError, body: []byte(`{"error":"marshal failed"}`)}
-			}
-			continue
-		}
-		resp := SearchResponse{Generation: gen, Count: len(hits), Hits: hits}
-		if forced {
-			tr.Attr(root, "generation", int64(gen))
-			tr.End(root)
-			resp.Trace = tr.Tree()
-			body, merr := json.Marshal(resp)
-			if merr != nil {
-				return searchOutcome{status: http.StatusInternalServerError, body: []byte(`{"error":"marshal failed"}`), generation: gen}
-			}
-			return searchOutcome{status: http.StatusOK, body: body, cacheState: "bypass", generation: gen}
-		}
-		body, merr := json.Marshal(resp)
+	hits, gen, partial, err := s.sys.SearchPartialContext(ctx, q)
+	if err != nil {
+		body, merr := json.Marshal(map[string]string{"error": err.Error()})
 		if merr != nil {
-			return searchOutcome{status: http.StatusInternalServerError, body: []byte(`{"error":"marshal failed"}`), generation: gen}
+			body = []byte(`{"error":"bad query"}`)
 		}
+		return searchOutcome{status: http.StatusBadRequest, body: body, cacheState: "miss", generation: gen}
+	}
+	s.metrics.searchesRun.Add(1)
+	if qo != nil {
+		s.metrics.observeStages(qo)
+	}
+	if partial {
+		s.metrics.partials.Add(1)
+	}
+	resp := SearchResponse{Generation: gen, Count: len(hits), Hits: hits, Partial: partial}
+	forced := qo != nil && qo.Forced
+	state := "miss"
+	if forced {
+		tr, root := qo.Tracer()
+		tr.Attr(root, "generation", int64(gen))
+		tr.End(root)
+		resp.Trace = tr.Tree()
+		state = "bypass"
+	}
+	out := renderOutcome(resp, state)
+	if out.status == http.StatusOK && !partial && !forced {
 		if s.cache.enabled() {
 			s.metrics.cacheMiss.Add(1)
 		}
-		s.cache.Put(gen, key, body)
-		return searchOutcome{status: http.StatusOK, body: body, cacheState: "miss", generation: gen}
+		s.cache.Put(gen, key, out.body)
 	}
-	return searchOutcome{status: http.StatusOK, body: lastBody, cacheState: "miss"}
+	return out
 }
 
 // --- stale-while-revalidate ------------------------------------------

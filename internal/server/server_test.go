@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -353,7 +354,8 @@ func TestCacheSurvivesNoopRewrangle(t *testing.T) {
 // (under -race in CI) that every response is well-formed and that any
 // two responses for the same query at the same generation are
 // byte-identical — the cache-correctness property with publishes racing
-// the reads.
+// the reads. No response may carry generation 0: the label is the
+// generation of the snapshot the search ranked.
 func TestConcurrentRewrangleUnderLoad(t *testing.T) {
 	sys, m, root := newTestSystem(t, 20, 17)
 	srv, err := New(Config{Sys: sys, RewrangleEvery: 25 * time.Millisecond})
@@ -441,6 +443,13 @@ func TestConcurrentRewrangleUnderLoad(t *testing.T) {
 				var sr SearchResponse
 				if err := json.Unmarshal(body, &sr); err != nil {
 					errs <- fmt.Errorf("%s: %v", q, err)
+					return
+				}
+				// Every body is labeled with the generation it was ranked
+				// at; the label is never the unlabeled 0, and the header
+				// agrees with it.
+				if sr.Generation == 0 || resp.Header.Get("X-Dnhd-Generation") != strconv.FormatUint(sr.Generation, 10) {
+					errs <- fmt.Errorf("%s: body generation %d, header %q", q, sr.Generation, resp.Header.Get("X-Dnhd-Generation"))
 					return
 				}
 				key := fmt.Sprintf("%s|%d", q, sr.Generation)

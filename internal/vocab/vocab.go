@@ -153,15 +153,6 @@ func Standard() []Variable {
 	}
 }
 
-// Names returns the canonical names of vars, in order.
-func Names(vars []Variable) []string {
-	out := make([]string, len(vars))
-	for i, v := range vars {
-		out[i] = v.Name
-	}
-	return out
-}
-
 // ByName indexes vars by canonical name.
 func ByName(vars []Variable) map[string]Variable {
 	m := make(map[string]Variable, len(vars))

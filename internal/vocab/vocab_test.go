@@ -69,12 +69,7 @@ func TestMultiContextBasesExist(t *testing.T) {
 }
 
 func TestHelpers(t *testing.T) {
-	vars := Standard()
-	names := Names(vars)
-	if len(names) != len(vars) || names[0] != vars[0].Name {
-		t.Error("Names broken")
-	}
-	byName := ByName(vars)
+	byName := ByName(Standard())
 	if byName["salinity"].Unit != "PSU" {
 		t.Errorf("ByName lookup = %+v", byName["salinity"])
 	}

@@ -33,8 +33,8 @@
 //	kill -HUP $(pidof dnhd)   # re-wrangle now; searches keep serving
 //
 // Request-scoped callers use the context-aware entry points
-// (SearchContext, SearchTextContext) and key caches on
-// SnapshotGeneration.
+// (SearchContext, SearchPartialContext) and key caches on the generation
+// SearchPartialContext reports: that of the snapshot it ranked.
 package metamess
 
 import (
@@ -480,7 +480,13 @@ func (s *System) Search(q Query) ([]Hit, error) {
 // This is the entry point request-scoped callers (the dnhd server)
 // use.
 func (s *System) SearchContext(ctx context.Context, q Query) ([]Hit, error) {
-	results, err := s.searcher.SearchContext(ctx, internalQuery(q))
+	return s.search(ctx, internalQuery(q))
+}
+
+// search ranks the published snapshot against an internal query: the
+// path Search, SearchContext and SearchText share.
+func (s *System) search(ctx context.Context, q search.Query) ([]Hit, error) {
+	results, err := s.searcher.SearchContext(ctx, q)
 	if err != nil {
 		return nil, fmt.Errorf("metamess: %w", err)
 	}
@@ -492,13 +498,16 @@ func (s *System) SearchContext(ctx context.Context, q Query) ([]Hit, error) {
 // far (possibly none) with partial=true instead of an error. The dnhd
 // server uses it to honor per-request budgets without discarding work
 // already done; see search.Searcher.SearchPartialContext for the
-// exactness caveat on partial rankings.
-func (s *System) SearchPartialContext(ctx context.Context, q Query) ([]Hit, bool, error) {
-	results, partial, err := s.searcher.SearchPartialContext(ctx, internalQuery(q))
+// exactness caveat on partial rankings. gen is the generation of the
+// snapshot the query read — also when err rejects the query — so it
+// labels and keys the response exactly, however many publishes land
+// while the search runs.
+func (s *System) SearchPartialContext(ctx context.Context, q Query) (hits []Hit, gen uint64, partial bool, err error) {
+	results, gen, partial, err := s.searcher.SearchPartialContext(ctx, internalQuery(q))
 	if err != nil {
-		return nil, false, fmt.Errorf("metamess: %w", err)
+		return nil, gen, false, fmt.Errorf("metamess: %w", err)
 	}
-	return hitsFromResults(results), partial, nil
+	return hitsFromResults(results), gen, partial, nil
 }
 
 // internalQuery converts the facade query into the search package's.
@@ -536,20 +545,11 @@ func internalQuery(q Query) search.Query {
 //
 //	near 45.5,-124.4 in mid-2010 with temperature between 5 and 10
 func (s *System) SearchText(query string) ([]Hit, error) {
-	return s.SearchTextContext(context.Background(), query)
-}
-
-// SearchTextContext is SearchText with cancellation (see SearchContext).
-func (s *System) SearchTextContext(ctx context.Context, query string) ([]Hit, error) {
 	iq, err := search.ParseQuery(query)
 	if err != nil {
 		return nil, fmt.Errorf("metamess: %w", err)
 	}
-	results, err := s.searcher.SearchContext(ctx, iq)
-	if err != nil {
-		return nil, fmt.Errorf("metamess: %w", err)
-	}
-	return hitsFromResults(results), nil
+	return s.search(context.Background(), iq)
 }
 
 // DatasetSummary renders the summary page for an archive-relative path.
@@ -662,12 +662,6 @@ func (s *System) LoadCatalog(path string) error {
 
 // DatasetCount returns the published catalog's size.
 func (s *System) DatasetCount() int { return s.ctx.Published.Len() }
-
-// Vocabulary returns the canonical variable names the system wrangles
-// toward.
-func (s *System) Vocabulary() []string {
-	return vocab.Names(s.ctx.Knowledge.Vocabulary)
-}
 
 // ValidationOK reports whether the last run's validation passed.
 func (s *System) ValidationOK() bool {
